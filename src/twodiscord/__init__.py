@@ -72,9 +72,7 @@ from .optimize import (
     OptimizerConfig,
     alternating_sphere_max,
     maximize_over_product_bases,
-    params_from_unitary,
     sphere_grid_oracle,
-    unitary_from_params,
 )
 from .serialize import load_state, save_state, state_from_dict, state_to_dict
 

@@ -86,6 +86,10 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
 
     The one-sided searches are warm-started from the two-sided optimum so
     the reported hierarchy cannot be broken by an unlucky restart draw.
+    ``flagged`` is set when a value leaves its documented bracket: each
+    geometric value below its spectral lower bound, the two-sided value
+    below a one-sided one, and with the entropic values, any of them outside
+    [0, mutual information] or the two-sided one below a one-sided one.
     """
     ab = geo_discord_two_sided(state, cfg)
     da = geo_discord_one_sided(
@@ -96,13 +100,14 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
     )
     flagged = (
         ab.value < max(da.value, db.value) - CHAIN_TOL
-        or ab.value < ab.lower_bound - BOUND_TOL
+        or any(r.value < r.lower_bound - BOUND_TOL for r in (ab, da, db))
     )
+    mi = mutual_information(state)
     report = {
         "dim_a": state.dim_a,
         "dim_b": state.dim_b,
         "purity": purity(state.rho),
-        "mutual_information": mutual_information(state),
+        "mutual_information": mi,
         "geo_one_sided_a": da.value,
         "geo_one_sided_b": db.value,
         "geo_two_sided": ab.value,
@@ -117,13 +122,16 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
     if with_entropic:
         eab = discord_two_sided(state, cfg)
         m = eab.optimal_measurement
-        report["entropic_one_sided_a"] = discord_one_sided(
-            state, "A", cfg, extra_warm_starts=[m.basis_a]
-        ).value
-        report["entropic_one_sided_b"] = discord_one_sided(
-            state, "B", cfg, extra_warm_starts=[m.basis_b]
-        ).value
+        ea = discord_one_sided(state, "A", cfg, extra_warm_starts=[m.basis_a]).value
+        eb = discord_one_sided(state, "B", cfg, extra_warm_starts=[m.basis_b]).value
+        report["entropic_one_sided_a"] = ea
+        report["entropic_one_sided_b"] = eb
         report["entropic_two_sided"] = eab.value
+        report["flagged"] = (
+            flagged
+            or any(not -CHAIN_TOL <= v <= mi + CHAIN_TOL for v in (ea, eb, eab.value))
+            or eab.value < max(ea, eb) - CHAIN_TOL
+        )
     return report
 
 
@@ -174,7 +182,7 @@ def cmd_audit(args) -> int:
         na, nb = (int(p) for p in args.dims.lower().split("x"))
     except ValueError:
         raise DomainError(f"dims must look like 2x2, got {args.dims!r}")
-    rep = audit_states(args.states, args.seed, dims=(na, nb))
+    rep = audit_states(args.states, args.seed, dims=(na, nb), cfg=_config(args))
     print(f"audited {rep.n_states} random ({na},{nb}) states, seed {rep.seed}: "
           f"{rep.checks} checks, {len(rep.violations)} violations")
     for name in sorted(rep.worst_margins):
@@ -227,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=100)
     p.add_argument("--dims", default="2x2")
     _add_common(p)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_audit, restarts=16)
 
     return parser
 

@@ -26,6 +26,7 @@ from .optimize import (
     OptimizerConfig,
     _alternating_detail,
     _unit,
+    bloch_pair_objective,
     maximize_over_bases,
     warm_start_bases,
 )
@@ -295,9 +296,9 @@ def two_qubit_geo_objective(b, a, bv) -> float:
     a = np.asarray(a, dtype=float)
     bv = np.asarray(bv, dtype=float)
     for v in (a, bv):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # also rejects NaN
             raise NotUnitVectorError("a and b must be unit 3-vectors")
-    return float((a @ b.x) ** 2 + (bv @ b.y) ** 2 + (a @ b.t @ bv) ** 2)
+    return bloch_pair_objective(b.x, b.y, b.t, a, bv)
 
 
 def two_qubit_geo(b, cfg: OptimizerConfig) -> GeoResult:

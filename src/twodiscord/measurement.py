@@ -22,6 +22,8 @@ class OrthonormalBasis:
         u = np.ascontiguousarray(np.asarray(self.vectors, dtype=complex))
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise DomainError("basis vectors must have finite entries")
         gram = u.conj().T @ u
         if np.max(np.abs(gram - np.eye(u.shape[0]))) > UNITARY_TOL:
             raise DomainError("columns are not orthonormal within tolerance")
@@ -35,6 +37,18 @@ class OrthonormalBasis:
     def projector(self, alpha: int) -> np.ndarray:
         v = self.vectors[:, alpha]
         return np.outer(v, v.conj())
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary drawn from the Generator ``rng``.
+
+    QR of a complex Ginibre matrix with the phases of R's diagonal moved into
+    Q (Mezzadri, Notices AMS 54 (2007)); without that fix Q is not Haar.
+    """
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 def _basis_unchecked(vectors: np.ndarray) -> OrthonormalBasis:
@@ -69,9 +83,10 @@ def bloch_basis(a) -> OrthonormalBasis:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise DimensionMismatchError("expected a real 3-vector")
-    if abs(np.linalg.norm(a) - 1.0) > UNITARY_TOL:
+    if not abs(np.linalg.norm(a) - 1.0) <= UNITARY_TOL:  # also rejects NaN
         raise NotUnitVectorError(f"norm is {np.linalg.norm(a)}, expected 1")
-    theta = np.arccos(np.clip(a[2], -1.0, 1.0))
+    # not arccos(a_z): near a pole a_z rounds to +-1 and the polar angle is lost
+    theta = np.arctan2(np.hypot(a[0], a[1]), a[2])
     phi = np.arctan2(a[1], a[0])
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     plus = np.array([c, np.exp(1j * phi) * s])

@@ -2,21 +2,18 @@
 
 The search engine is a deterministic multistart compass (pattern) search run
 in lockstep across restarts so candidate batches can be evaluated vectorized.
-Searches over bases iterate the measurement unitaries themselves and poll
-with closed-form Givens rotations; the exponential parametrization of
-unitaries remains for seeding random starts.
+It iterates the measurement unitaries themselves, polls with closed-form
+Givens rotations and seeds its random restarts with Haar unitaries.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
-from .measurement import ProductMeasurement, _basis_unchecked, bloch_basis
+from .measurement import ProductMeasurement, _basis_unchecked, bloch_basis, haar_unitary
 from .states import BipartiteState, TwoQubitBloch, partial_trace, to_bloch
 
 _INITIAL_STEP = 0.25
@@ -46,10 +43,9 @@ class OptimizerConfig:
 class OptimizationResult:
     """What a search found and what it cost.
 
-    ``best_params`` is the winning point: a parameter vector for
-    ``pattern_search_multistart``, a tuple of unitaries (one per measured
-    side) for the searches over bases, the concatenated Bloch directions for
-    the two-qubit alternating route.
+    ``best_params`` is the winning point: a tuple of unitaries (one per
+    measured side) for the searches over bases, the concatenated Bloch
+    directions for the two-qubit alternating route.
     """
 
     best_value: float
@@ -57,92 +53,6 @@ class OptimizationResult:
     restarts_run: int
     iterations_total: int
     converged: bool
-
-
-# ---------------------------------------------------------------------------
-# unitary parametrization
-
-def _pair_indices(n: int):
-    j, k = np.triu_indices(n, k=1)
-    return j, k
-
-
-def _skew_from_params(params: np.ndarray, n: int) -> np.ndarray:
-    """Batched anti-Hermitian generator from (N, n^2) parameter rows."""
-    params = np.atleast_2d(params)
-    nn = params.shape[0]
-    npairs = n * (n - 1) // 2
-    if params.shape[1] != n * n:
-        raise DomainError(f"expected {n * n} parameters, got {params.shape[1]}")
-    j, k = _pair_indices(n)
-    p1 = params[:, :npairs]
-    p2 = params[:, npairs : 2 * npairs]
-    d = params[:, 2 * npairs :]
-    kmat = np.zeros((nn, n, n), dtype=complex)
-    kmat[:, j, k] = p1 + 1j * p2
-    kmat[:, k, j] = -p1 + 1j * p2
-    kmat[:, np.arange(n), np.arange(n)] = 1j * d
-    return kmat
-
-
-_EXPM_COEFFS = 1.0 / np.array([math.factorial(k) for k in range(16)], dtype=float)
-
-
-def _expm_skew(kmat: np.ndarray) -> np.ndarray:
-    """Batched matrix exponential by scaling-and-squaring.
-
-    The core is a degree-15 Taylor polynomial evaluated Paterson-Stockmeyer
-    style (4 chunks in powers of A^4), which needs 6 batched matmuls instead
-    of the 15 a Horner loop would take.
-    """
-    nrm = np.sqrt(np.sum(np.abs(kmat) ** 2, axis=(-2, -1))).max()
-    s = 0 if nrm <= 0.4 else int(np.ceil(np.log2(nrm / 0.4)))
-    a = kmat / (2.0**s)
-    n = kmat.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), kmat.shape)
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a3 @ a
-    powers = np.stack([eye, a, a2, a3])
-    chunks = np.tensordot(_EXPM_COEFFS.reshape(4, 4), powers, axes=1)
-    u = chunks[0] + a4 @ (chunks[1] + a4 @ (chunks[2] + a4 @ chunks[3]))
-    for _ in range(s):
-        u = u @ u
-    return u
-
-
-def unitary_from_params(params, n: int) -> np.ndarray:
-    """exp of the anti-Hermitian matrix packed in ``params`` (length n^2).
-
-    Layout: n(n-1)/2 real antisymmetric entries, n(n-1)/2 imaginary symmetric
-    entries (both upper-triangle row-major), then n diagonal phases.
-    params = 0 maps to the identity.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (n * n,):
-        raise DomainError(f"expected {n * n} parameters, got shape {params.shape}")
-    return _expm_skew(_skew_from_params(params[None, :], n))[0]
-
-
-def params_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Inverse of unitary_from_params via the principal matrix logarithm."""
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    t, z = scipy.linalg.schur(u, output="complex")
-    kmat = (z * (1j * np.angle(np.diag(t)))) @ z.conj().T
-    j, k = _pair_indices(n)
-    return np.concatenate(
-        [kmat[j, k].real, kmat[j, k].imag, np.diag(kmat).imag]
-    )
-
-
-def off_diagonal_coords(n: int) -> np.ndarray:
-    """Parameter indices that actually move the measurement basis.
-
-    The n trailing diagonal-phase parameters only rephase basis columns, which
-    leaves every rank-1 projector fixed, so searches over bases skip them.
-    """
-    return np.arange(n * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -186,105 +96,7 @@ def warm_start_bases(state: BipartiteState, cfg: OptimizerConfig, sides,
 
 
 # ---------------------------------------------------------------------------
-# multistart compass search
-
-def _restart_seed_params(seed: int, restart: int, n_params: int) -> np.ndarray:
-    # counter-based: each restart owns an independent stream keyed on (seed, index)
-    rng = np.random.default_rng([seed, restart])
-    return rng.uniform(-1.5, 1.5, n_params)
-
-
-def _lockstep_search(batch_eval, poll, n_directions: int, points,
-                     cfg: OptimizerConfig) -> OptimizationResult:
-    """The multistart compass search behind every search in this module.
-
-    ``points`` holds the starting points stacked along axis 0, one array per
-    component of a point. ``poll(points, steps)`` returns the candidates of
-    the given restarts in the same layout, ``n_directions`` per restart,
-    restart-major, and ``batch_eval(*components)`` maps such stacks to their
-    objective values. Restarts run in lockstep; each accepts its best polled
-    candidate (the lowest direction index on ties), shrinks its step on
-    failure, and stops when an accepted improvement falls below the value
-    tolerance or the step falls below the step tolerance. ``best_params`` of
-    the result is the winning point as a tuple of components.
-    """
-    total = points[0].shape[0]
-    values = np.asarray(batch_eval(*points), dtype=float)
-    steps = np.full(total, _INITIAL_STEP)
-    active = np.ones(total, dtype=bool)
-    converged = np.zeros(total, dtype=bool)
-    iters = np.zeros(total, dtype=int)
-
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        cand = poll([p[idx] for p in points], steps[idx])
-        vals = np.asarray(batch_eval(*cand), dtype=float).reshape(len(idx), n_directions)
-        best_j = np.argmax(vals, axis=1)
-        best_v = vals[np.arange(len(idx)), best_j]
-        iters[idx] += 1
-        imp = best_v - values[idx]
-        acc = imp > 0
-        up = idx[acc]
-        values[up] = best_v[acc]
-        rows = np.nonzero(acc)[0] * n_directions + best_j[acc]
-        for p, c in zip(points, cand):
-            p[up] = c[rows]
-        steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
-        small = idx[acc & (imp < cfg.value_tolerance)]
-        converged[small] = True
-        active[small] = False
-        down = idx[~acc]
-        steps[down] *= 0.5
-        stuck = down[steps[down] < cfg.step_tolerance]
-        converged[stuck] = True
-        active[stuck] = False
-        active[idx[iters[idx] >= cfg.max_iterations]] = False
-        # retire restarts that have caught up with the incumbent maximum; the
-        # lowest-index one among them keeps refining, the rest can only tie it
-        vmax = values.max()
-        margin = max(cfg.value_tolerance, _RETIRE_LAG)
-        caught = np.nonzero(active & (values >= vmax - margin))[0]
-        if len(caught):
-            keep = int(np.nonzero(values >= vmax - margin)[0][0])
-            drop = caught[caught != keep]
-            converged[drop] = True
-            active[drop] = False
-
-    vmax = values.max()
-    best = int(np.nonzero(values >= vmax - cfg.value_tolerance)[0][0])
-    return OptimizationResult(
-        best_value=float(values[best]),
-        best_params=tuple(p[best].copy() for p in points),
-        restarts_run=total,
-        iterations_total=int(iters.sum()),
-        converged=bool(converged[best]),
-    )
-
-
-def pattern_search_multistart(batch_eval, n_params: int, cfg: OptimizerConfig,
-                              warm_starts=(), poll_coords=None) -> OptimizationResult:
-    """Maximize a batched objective over parameter vectors.
-
-    ``batch_eval`` maps an (N, n_params) array to N objective values. A poll
-    moves one coordinate by plus or minus the restart's step; the warm starts
-    come first, then ``cfg.restarts`` seeded random starts.
-
-    ``poll_coords`` restricts polling to a subset of coordinates; use it when
-    some parameters are known gauge directions of the objective.
-    """
-    starts = [np.asarray(w, dtype=float) for w in warm_starts]
-    starts += [_restart_seed_params(cfg.seed, r, n_params) for r in range(cfg.restarts)]
-    coords = np.arange(n_params) if poll_coords is None else np.asarray(poll_coords)
-    basis = np.eye(n_params)[coords]
-    directions = np.concatenate([basis, -basis])
-
-    def poll(points, steps):
-        cand = points[0][:, None, :] + steps[:, None, None] * directions[None]
-        return [cand.reshape(-1, n_params)]
-
-    res = _lockstep_search(batch_eval, poll, len(directions), [np.array(starts)], cfg)
-    return replace(res, best_params=res.best_params[0])
-
+# multistart compass search over unitaries
 
 def _givens_planes(dims):
     """The Givens poll directions over a product of unitary groups of sizes ``dims``.
@@ -294,14 +106,13 @@ def _givens_planes(dims):
     column j becomes c u_j + mult_j s u_k and column k becomes
     mult_k s u_j + c u_k, with c, s the cosine and sine of sign times the
     step. (mult_j, mult_k) = (-1, 1) is the real generator E_jk - E_kj and
-    (i, i) the imaginary one i(E_jk + E_kj). Directions follow the order of
-    the off-diagonal parameter coordinates: side by side, the real planes
-    then the imaginary ones (row-major over j < k), all with sign +1, then
-    the same list with sign -1; 2 n(n-1) directions per side.
+    (i, i) the imaginary one i(E_jk + E_kj). Directions run side by side,
+    the real planes then the imaginary ones (row-major over j < k), all with
+    sign +1, then the same list with sign -1; 2 n(n-1) directions per side.
     """
     side, j, k, mult_j, mult_k = [], [], [], [], []
     for q, n in enumerate(dims):
-        jq, kq = _pair_indices(n)
+        jq, kq = np.triu_indices(n, k=1)
         for mj, mk in ((-1.0, 1.0), (1j, 1j)):
             side += [q] * len(jq)
             j += list(jq)
@@ -349,40 +160,90 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
     A point is a tuple of unitaries, one per measured side with sizes
     ``dims``, whose columns are the basis vectors. ``batch_eval(*stacks)``
     maps one (N, n, n) stack of candidate unitaries per side to N objective
-    values. A poll is U G for a closed-form Givens rotation G in one plane of
-    one side (see ``_givens_planes``), so candidates need no matrix
-    exponential. The warm starts (tuples of unitaries) come first, then
-    ``cfg.restarts`` random starts at ``unitary_from_params`` of the seeded
-    parameter draws, split per side. ``best_params`` of the result is the
-    winning tuple of unitaries.
+    values. The warm starts (tuples of unitaries) come first, then
+    ``cfg.restarts`` random starts: restart r starts at one Haar unitary per
+    side, drawn in side order from ``default_rng([cfg.seed, r])``, so its
+    start does not depend on ``cfg.restarts``.
+
+    The search is a multistart compass search run in lockstep across
+    restarts, so each poll round is one batched evaluation. A poll is U G for
+    a closed-form Givens rotation G in one plane of one side (see
+    ``_givens_planes``), so candidates need no matrix exponential. Each
+    restart accepts its best polled candidate (the lowest direction index on
+    ties), shrinks its step on failure, and stops when an accepted
+    improvement falls below the value tolerance or the step falls below the
+    step tolerance. ``best_params`` of the result is the winning tuple of
+    unitaries.
     """
-    ends = np.cumsum([n * n for n in dims])
     starts = [tuple(np.asarray(u, dtype=complex) for u in w) for w in warm_starts]
     for r in range(cfg.restarts):
-        p = np.split(_restart_seed_params(cfg.seed, r, int(ends[-1])), ends[:-1])
-        starts.append(tuple(unitary_from_params(pq, n) for pq, n in zip(p, dims)))
+        rng = np.random.default_rng([cfg.seed, r])
+        starts.append(tuple(haar_unitary(rng, n) for n in dims))
     points = [np.array([s[q] for s in starts]) for q in range(len(dims))]
     planes = _givens_planes(dims)
+    ndir = len(planes[-1])
 
-    def poll(bases, steps):
-        return _givens_poll(bases, steps, planes)
+    total = len(starts)
+    values = np.asarray(batch_eval(*points), dtype=float)
+    steps = np.full(total, _INITIAL_STEP)
+    active = np.ones(total, dtype=bool)
+    converged = np.zeros(total, dtype=bool)
+    iters = np.zeros(total, dtype=int)
 
-    return _lockstep_search(batch_eval, poll, len(planes[-1]), points, cfg)
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        cand = _givens_poll([p[idx] for p in points], steps[idx], planes)
+        vals = np.asarray(batch_eval(*cand), dtype=float).reshape(len(idx), ndir)
+        best_j = np.argmax(vals, axis=1)
+        best_v = vals[np.arange(len(idx)), best_j]
+        iters[idx] += 1
+        imp = best_v - values[idx]
+        acc = imp > 0
+        up = idx[acc]
+        values[up] = best_v[acc]
+        rows = np.nonzero(acc)[0] * ndir + best_j[acc]
+        for p, c in zip(points, cand):
+            p[up] = c[rows]
+        steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
+        small = idx[acc & (imp < cfg.value_tolerance)]
+        converged[small] = True
+        active[small] = False
+        down = idx[~acc]
+        steps[down] *= 0.5
+        stuck = down[steps[down] < cfg.step_tolerance]
+        converged[stuck] = True
+        active[stuck] = False
+        active[idx[iters[idx] >= cfg.max_iterations]] = False
+        # retire restarts that have caught up with the incumbent maximum; the
+        # lowest-index one among them keeps refining, the rest can only tie it
+        vmax = values.max()
+        margin = max(cfg.value_tolerance, _RETIRE_LAG)
+        caught = np.nonzero(active & (values >= vmax - margin))[0]
+        if len(caught):
+            keep = int(np.nonzero(values >= vmax - margin)[0][0])
+            drop = caught[caught != keep]
+            converged[drop] = True
+            active[drop] = False
+
+    vmax = values.max()
+    best = int(np.nonzero(values >= vmax - cfg.value_tolerance)[0][0])
+    return OptimizationResult(
+        best_value=float(values[best]),
+        best_params=tuple(p[best].copy() for p in points),
+        restarts_run=total,
+        iterations_total=int(iters.sum()),
+        converged=bool(converged[best]),
+    )
 
 
 def maximize_over_product_bases(objective, dims, cfg: OptimizerConfig,
                                 warm_starts=()) -> OptimizationResult:
     """Maximize ``objective(ProductMeasurement)`` over all product bases.
 
-    Each warm start is a parameter vector of length na^2 + nb^2, split per
-    side through ``unitary_from_params``. ``best_params`` of the result is
-    the winning (U_A, U_B) pair.
+    The warm starts are ProductMeasurements. ``best_params`` of the result
+    is the winning (U_A, U_B) pair.
     """
-    na, nb = dims
-    warm = []
-    for w in warm_starts:
-        p = np.asarray(w, dtype=float)
-        warm.append((unitary_from_params(p[: na * na], na), unitary_from_params(p[na * na :], nb)))
+    warm = [(m.basis_a.vectors, m.basis_b.vectors) for m in warm_starts]
 
     def batch(ua, ub):
         return np.array([

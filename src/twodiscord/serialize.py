@@ -56,10 +56,14 @@ def save_state(path, state: BipartiteState):
         json.dump(state_to_dict(state), fh)
 
 
+def _reject_constant(name):
+    raise StateFormatError(f"matrix entries must be finite numbers, got {name}")
+
+
 def load_state(path) -> BipartiteState:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"invalid JSON: {exc}") from exc
     return state_from_dict(doc)

@@ -51,6 +51,8 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise NonHermitianError(
                 f"matrix deviates from its conjugate transpose by "
@@ -114,6 +116,8 @@ class TwoQubitBloch:
         t = np.asarray(self.t, dtype=float)
         if x.shape != (3,) or y.shape != (3,) or t.shape != (3, 3):
             raise DimensionMismatchError("expected 3-vectors x, y and a 3x3 matrix t")
+        if not all(np.isfinite(v).all() for v in (x, y, t)):
+            raise DomainError("Bloch data must be finite")
         if np.linalg.norm(x) > 1 + PSD_TOL or np.linalg.norm(y) > 1 + PSD_TOL:
             raise NotPositiveSemidefiniteError("a local Bloch vector has norm > 1")
         object.__setattr__(self, "x", _freeze(x))
@@ -248,13 +252,16 @@ def classical_classical(p, basis_a, basis_b) -> BipartiteState:
     return make_bipartite(rho, na, nb)
 
 
+def _ginibre(rng, d: int, rank: int) -> np.ndarray:
+    """G G^dag / tr for a complex d x rank Ginibre matrix G drawn from ``rng``."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_state(dim_a: int, dim_b: int, rank: int, seed: int) -> BipartiteState:
     """Seeded Ginibre construction G G^dag / tr, deterministic given seed."""
     d = dim_a * dim_b
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return make_bipartite(rho, dim_a, dim_b)
+    return make_bipartite(_ginibre(np.random.default_rng(seed), d, rank), dim_a, dim_b)

@@ -15,7 +15,6 @@ import numpy as np
 from ._contract import shannon_bits
 from .errors import DomainError
 from .entropic import (
-    discord_one_sided,
     discord_two_sided,
     loss_split,
     measured_loss_two_sided,
@@ -39,6 +38,7 @@ from .measurement import (
     ProductMeasurement,
     dephase_one_sided,
     diagonal_distribution,
+    haar_unitary,
 )
 from .optimize import (
     OptimizerConfig,
@@ -50,6 +50,7 @@ from .optimize import (
 from .states import (
     BipartiteState,
     DensityMatrix,
+    _ginibre,
     bell_state,
     classical_classical,
     isotropic,
@@ -93,12 +94,6 @@ def _since(t0: tuple[float, float]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # random object factories (all take an explicit Generator)
 
-def _ginibre(rng, d: int, rank: int) -> np.ndarray:
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_density(rng, d: int, rank=None) -> DensityMatrix:
     return DensityMatrix(_ginibre(rng, d, rank or d))
 
@@ -108,9 +103,7 @@ def random_bipartite(rng, na: int, nb: int, rank=None) -> BipartiteState:
 
 
 def random_basis(rng, n: int) -> OrthonormalBasis:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return OrthonormalBasis(q * (np.diag(r) / np.abs(np.diag(r))))
+    return OrthonormalBasis(haar_unitary(rng, n))
 
 
 def random_product_measurement(rng, na: int, nb: int) -> ProductMeasurement:

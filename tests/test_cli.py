@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import twodiscord as td
+from twodiscord import cli
 from twodiscord.cli import SweepSpec, main
 from twodiscord.serialize import save_state
 
@@ -78,6 +80,29 @@ class TestCompute:
         assert main(["compute", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_exits_2(self, bell_file, tmp_path, capsys, bad):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(open(bell_file).read().replace("0.0", bad, 1))
+        assert main(["compute", str(path), *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_entropic_above_mutual_information_flagged(self, bell_file, monkeypatch, capsys):
+        real = cli.discord_two_sided
+
+        def inflated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value + 1.5)
+
+        monkeypatch.setattr(cli, "discord_two_sided", inflated)
+        assert main(["compute", bell_file, "--entropic", "--format", "json", *FAST]) == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["entropic_two_sided"] > rec["mutual_information"]
+        assert rec["flagged"] is True
+
     def test_invalid_density_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "notdm.json"
         path.write_text(json.dumps(
@@ -130,6 +155,10 @@ class TestAudit:
     def test_zero_states(self, capsys):
         assert main(["audit", "--states", "0"]) == 0
         assert "audited 0" in capsys.readouterr().out
+
+    def test_restarts_honoured(self, capsys):
+        assert main(["audit", "--states", "1", "--restarts", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_dims(self, capsys):
         assert main(["audit", "--states", "1", "--dims", "two"]) == 2

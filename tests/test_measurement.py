@@ -22,6 +22,10 @@ class TestBases:
     def test_computational_is_identity(self):
         np.testing.assert_allclose(td.computational_basis(3).vectors, np.eye(3), atol=0)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            td.OrthonormalBasis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(DomainError):
             td.OrthonormalBasis(np.array([[1.0, 0.1], [0.0, 1.0]]))
@@ -52,6 +56,8 @@ class TestBases:
     def test_bloch_basis_requires_unit_vector(self):
         with pytest.raises(NotUnitVectorError):
             td.bloch_basis(np.array([0.0, 0.0, 0.5]))
+        with pytest.raises(NotUnitVectorError):
+            td.bloch_basis(np.array([np.nan, 0.0, 0.0]))
 
     @given(unit_vectors())
     @settings(max_examples=25, deadline=None)

@@ -6,64 +6,14 @@ from hypothesis import strategies as st
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
+from twodiscord.measurement import haar_unitary
 from twodiscord.optimize import (
     _givens_planes,
     _givens_poll,
-    _skew_from_params,
-    off_diagonal_coords,
-    pattern_search_multistart,
+    maximize_over_bases,
     sphere_grid,
 )
-
-
-class TestParametrization:
-    def test_zero_params_identity(self):
-        np.testing.assert_allclose(td.unitary_from_params(np.zeros(4), 2), np.eye(2), atol=0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_unitarity(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        u = td.unitary_from_params(rng.uniform(-3, 3, n * n), n)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
-
-    def test_first_order_expansion(self):
-        n, eps = 3, 1e-6
-        params = np.full(n * n, eps)
-        u = td.unitary_from_params(params, n)
-        k = _skew_from_params(params[None], n)[0]
-        assert np.max(np.abs(u - np.eye(n) - k)) < 10 * eps**2
-
-    def test_matches_scipy_expm(self):
-        rng = np.random.default_rng(1)
-        params = rng.uniform(-2, 2, 16)
-        k = _skew_from_params(params[None], 4)[0]
-        np.testing.assert_allclose(
-            td.unitary_from_params(params, 4), scipy.linalg.expm(k), atol=1e-13
-        )
-
-    def test_round_trip_through_log(self):
-        rng = np.random.default_rng(2)
-        u = td.unitary_from_params(rng.uniform(-1, 1, 9), 3)
-        back = td.unitary_from_params(td.params_from_unitary(u), 3)
-        np.testing.assert_allclose(back, u, atol=1e-10)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(td.DomainError):
-            td.unitary_from_params(np.zeros(5), 2)
-
-    def test_off_diagonal_coords_are_gauge_free(self):
-        # perturbing only the diagonal phases must leave every projector fixed
-        rng = np.random.default_rng(3)
-        params = rng.uniform(-1, 1, 9)
-        shifted = params.copy()
-        shifted[len(off_diagonal_coords(3)):] += 0.7
-        u1 = td.unitary_from_params(params, 3)
-        u2 = td.unitary_from_params(shifted, 3)
-        p1 = np.einsum("ao,co->oac", u1.conj(), u1)
-        p2 = np.einsum("ao,co->oac", u2.conj(), u2)
-        np.testing.assert_allclose(p1, p2, atol=1e-12)
+from twodiscord.verification import random_bipartite
 
 
 class TestConfig:
@@ -81,44 +31,45 @@ class TestConfig:
             OptimizerConfig(**kwargs)
 
 
-class TestPatternSearch:
+class TestMaximizeOverBases:
     def test_constant_objective(self):
-        res = pattern_search_multistart(
-            lambda block: np.full(block.shape[0], 3.25), 4,
+        res = maximize_over_bases(
+            lambda ua, ub: np.full(ua.shape[0], 3.25), (2, 3),
             OptimizerConfig(restarts=4, seed=0),
         )
         assert res.best_value == 3.25
         assert res.converged
 
-    def test_concave_quadratic(self):
-        target = np.array([0.4, -0.9, 1.3])
+    def test_reaches_target_basis(self):
+        # sum_o |<v_o|u_o>|^2 is n exactly when each u_o is v_o up to a phase
+        target = haar_unitary(np.random.default_rng(9), 3)
 
-        def batch(block):
-            return -np.sum((block - target) ** 2, axis=1)
+        def batch(u):
+            return np.sum(np.abs(np.einsum("ao,nao->no", target.conj(), u)) ** 2, axis=1)
 
-        res = pattern_search_multistart(batch, 3, OptimizerConfig(restarts=8, seed=0))
-        np.testing.assert_allclose(res.best_params, target, atol=1e-5)
-
-    def test_deterministic_given_seed(self):
-        def batch(block):
-            return np.sin(block).sum(axis=1)
-
-        r1 = pattern_search_multistart(batch, 2, OptimizerConfig(restarts=6, seed=3))
-        r2 = pattern_search_multistart(batch, 2, OptimizerConfig(restarts=6, seed=3))
-        assert r1.best_value == r2.best_value
-        assert np.array_equal(r1.best_params, r2.best_params)
+        res = maximize_over_bases(batch, (3,), OptimizerConfig(restarts=8, seed=0))
+        assert res.best_value == pytest.approx(3.0, abs=1e-10)
+        (u,) = res.best_params
+        np.testing.assert_allclose(np.abs(target.conj().T @ u), np.eye(3), atol=1e-5)
 
     def test_warm_start_wins_tie_break(self):
-        # a warm start sitting on the optimum occupies the lowest index, so it
-        # must be the reported winner
-        def batch(block):
-            return -np.sum(block**2, axis=1)
+        # a warm start sitting on the unique maximum occupies the lowest index,
+        # so it must be the reported winner, bit for bit
+        def batch(u):
+            return -np.sum(np.abs(u - np.eye(2)) ** 2, axis=(1, 2))
 
-        res = pattern_search_multistart(
-            batch, 2, OptimizerConfig(restarts=4, seed=0), warm_starts=[np.zeros(2)]
-        )
+        res = maximize_over_bases(batch, (2,), OptimizerConfig(restarts=4, seed=0),
+                                  warm_starts=[(np.eye(2),)])
         assert res.best_value == 0.0
-        np.testing.assert_array_equal(res.best_params, np.zeros(2))
+        np.testing.assert_array_equal(res.best_params[0], np.eye(2))
+
+
+class TestHaarUnitary:
+    def test_unitary_and_reproducible(self):
+        for n in (2, 3, 4):
+            u = haar_unitary(np.random.default_rng([7, 3]), n)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
+            assert np.array_equal(u, haar_unitary(np.random.default_rng([7, 3]), n))
 
 
 class TestMaximizeOverProductBases:
@@ -138,9 +89,10 @@ class TestMaximizeOverProductBases:
         def objective(m):
             return td.dephased_purity(w, m)
 
+        identity = td.ProductMeasurement(td.computational_basis(3), td.computational_basis(3))
         res = td.maximize_over_product_bases(
             objective, (3, 3), OptimizerConfig(restarts=4, seed=0),
-            warm_starts=[np.zeros(18)],
+            warm_starts=[identity],
         )
         want = td.purity(w.rho) - td.werner_geo_closed(3, 1.0)
         assert res.best_value == pytest.approx(want, abs=1e-6)
@@ -151,7 +103,7 @@ class TestGivensPolls:
 
     def _poll(self, step):
         rng = np.random.default_rng(5)
-        bases = [td.unitary_from_params(rng.uniform(-1, 1, n * n), n)[None] for n in self.DIMS]
+        bases = [haar_unitary(rng, n)[None] for n in self.DIMS]
         planes = _givens_planes(self.DIMS)
         return bases, planes, _givens_poll(bases, np.array([step]), planes)
 
@@ -192,6 +144,28 @@ class TestGivensPolls:
         for side in ("basis_a", "basis_b"):
             assert np.array_equal(getattr(r1.optimal_measurement, side).vectors,
                                   getattr(r2.optimal_measurement, side).vectors)
+
+
+class TestLocalUnitaryInvariance:
+    """Every optimized discord is a function of the state's local-unitary orbit."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3)]))
+    @settings(max_examples=12, deadline=None)
+    def test_values_invariant(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        na, nb = dims
+        state = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
+        w = np.kron(haar_unitary(rng, na), haar_unitary(rng, nb))
+        moved = td.make_bipartite(w @ state.entries @ w.conj().T, na, nb)
+        cfg = OptimizerConfig(restarts=16, seed=0)
+        searches = [
+            td.geo_discord_two_sided,
+            lambda s, c: td.geo_discord_one_sided(s, "A", c),
+            lambda s, c: td.geo_discord_one_sided(s, "B", c),
+            td.discord_two_sided,
+        ]
+        for search in searches:
+            assert search(moved, cfg).value == pytest.approx(search(state, cfg).value, abs=1e-6)
 
 
 class TestSphereRoutines:

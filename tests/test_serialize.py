@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,24 @@ def test_malformed_json(tmp_path):
 def test_rejected_documents(doc):
     with pytest.raises(StateFormatError):
         state_from_dict(doc)
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    st = load_state(path)
+    np.testing.assert_allclose(st.entries, td.bell_state().entries, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_rejected(tmp_path, bad):
+    doc = json.dumps(state_to_dict(td.bell_state())).replace("0.0", bad, 1)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(doc)
+    with pytest.raises(StateFormatError):
+        load_state(path)
 
 
 def test_invalid_state_still_validated(tmp_path):

@@ -56,6 +56,17 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             td.make_bipartite(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(4) / 4
+        m[1, 1] = bad
+        with pytest.raises(DomainError):
+            td.make_bipartite(m, 2, 2)
+
+    def test_non_finite_bloch_rejected(self):
+        with pytest.raises(DomainError):
+            td.TwoQubitBloch(np.array([np.nan, 0.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
+
 
 class TestPartialTrace:
     def test_product_state_factors(self):
