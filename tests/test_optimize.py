@@ -64,6 +64,21 @@ class TestMaximizeOverBases:
         np.testing.assert_array_equal(res.best_params[0], np.eye(2))
 
 
+class TestPatternSearch:
+    def test_deterministic_given_seed(self):
+        # the compass search over unitaries is a pure function of its seed:
+        # same value and same bases, bit for bit
+        def batch(ua, ub):
+            return (np.sin(ua.real).sum(axis=(1, 2)) + np.cos(ub.imag).sum(axis=(1, 2)))
+
+        cfg = OptimizerConfig(restarts=6, seed=3)
+        r1 = maximize_over_bases(batch, (2, 3), cfg)
+        r2 = maximize_over_bases(batch, (2, 3), cfg)
+        assert r1.best_value == r2.best_value
+        for u1, u2 in zip(r1.best_params, r2.best_params, strict=True):
+            assert np.array_equal(u1, u2)
+
+
 class TestHaarUnitary:
     def test_unitary_and_reproducible(self):
         for n in (2, 3, 4):
