@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import diag_probs_batch, entropy_of_spectra, shannon_bits, side_blocks_batch
+from ._contract import TablePolls, entropy_of_spectra, shannon_bits, side_blocks_batch
 from .errors import DomainError
 from .measurement import (
     ProductMeasurement,
@@ -18,6 +18,7 @@ from .measurement import (
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
+    compass_search,
     maximize_over_bases,
     warm_start_bases,
 )
@@ -111,19 +112,16 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
 def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
                       extra_warm_starts=()) -> DiscordValue:
     """Mutual information minus the best found retained mutual information."""
-    na, nb = state.dim_a, state.dim_b
-    r = state.reshaped()
-
-    def batch(ua, ub):
-        p = diag_probs_batch(r, ua, ub)
+    def retained_information(p):
         return (
             shannon_bits(p.sum(axis=2), axis=-1)
             + shannon_bits(p.sum(axis=1), axis=-1)
             - shannon_bits(p.reshape(p.shape[0], -1), axis=-1)
         )
 
-    res = maximize_over_bases(
-        batch, (na, nb), cfg, warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts)
+    res = compass_search(
+        TablePolls(state.reshaped(), retained_information), (state.dim_a, state.dim_b), cfg,
+        warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts),
     )
     ua, ub = res.best_params
     value = mutual_information(state) - res.best_value

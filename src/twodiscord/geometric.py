@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import diag_probs_batch, side_blocks_batch
+from ._contract import TablePolls, side_blocks_batch
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -27,6 +27,7 @@ from .optimize import (
     _alternating_detail,
     _unit,
     bloch_pair_objective,
+    compass_search,
     maximize_over_bases,
     warm_start_bases,
 )
@@ -242,17 +243,14 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
     probabilities is needed: for fixed bases the closest classical state is
     the dephased state itself (quadratic completion).
     """
-    na, nb = state.dim_a, state.dim_b
-    r = state.reshaped()
-    pur = purity(state.rho)
-
-    def batch(ua, ub):
-        p = diag_probs_batch(r, ua, ub)
+    def retained_purity(p):
         return np.sum(p * p, axis=(1, 2))
 
-    res = maximize_over_bases(
-        batch, (na, nb), cfg, warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts)
+    res = compass_search(
+        TablePolls(state.reshaped(), retained_purity), (state.dim_a, state.dim_b), cfg,
+        warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts),
     )
+    pur = purity(state.rho)
     ua, ub = res.best_params
     cd = correlation_matrix(state)
     return GeoResult(

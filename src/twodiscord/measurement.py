@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotUnitVectorError
-from .states import PAULI, BipartiteState, DensityMatrix
+from .states import PAULI, BipartiteState, DensityMatrix, _ginibre_matrix
 
 UNITARY_TOL = 1e-10
 
@@ -40,15 +40,19 @@ class OrthonormalBasis:
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
-    """A Haar-random n x n unitary drawn from the Generator ``rng``.
+    """A Haar-random n x n unitary drawn from the Generator ``rng``."""
+    return _haar_from_ginibre(_ginibre_matrix(rng, n, n))
 
-    QR of a complex Ginibre matrix with the phases of R's diagonal moved into
-    Q (Mezzadri, Notices AMS 54 (2007)); without that fix Q is not Haar.
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Ginibre matrices, one or an (..., n, n) stack.
+
+    QR with the phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54
+    (2007)); without that fix Q is not Haar.
     """
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _basis_unchecked(vectors: np.ndarray) -> OrthonormalBasis:

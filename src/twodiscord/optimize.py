@@ -3,7 +3,10 @@
 The search engine is a deterministic multistart compass (pattern) search run
 in lockstep across restarts so candidate batches can be evaluated vectorized.
 It iterates the measurement unitaries themselves, polls with closed-form
-Givens rotations and seeds its random restarts with Haar unitaries.
+Givens rotations and seeds its random restarts with Haar unitaries. A scorer
+values each round's polls: the two-sided searches use the table updates of
+``_contract.TablePolls``, every other objective goes through
+``maximize_over_bases``, which builds each candidate's unitaries.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measurement import ProductMeasurement, _basis_unchecked, bloch_basis, haar_unitary
-from .states import BipartiteState, TwoQubitBloch, partial_trace, to_bloch
+from .measurement import ProductMeasurement, _basis_unchecked, _haar_from_ginibre, bloch_basis
+from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace, to_bloch
 
 _INITIAL_STEP = 0.25
 # restarts trailing the incumbent best by less than this are retired early;
@@ -124,6 +127,11 @@ def _givens_planes(dims):
     return tuple(np.tile(np.asarray(v), 2) for v in (side, j, k, mult_j, mult_k)) + (sign,)
 
 
+def _rotate_columns(uj, uk, c, s, mult_j, mult_k):
+    """Columns j and k after the Givens rotation of one direction (see ``_givens_planes``)."""
+    return c * uj + mult_j * s * uk, mult_k * s * uj + c * uk
+
+
 def _givens_poll(bases, steps, planes):
     """Candidates U G for each restart's unitaries and each Givens direction.
 
@@ -143,48 +151,92 @@ def _givens_poll(bases, steps, planes):
         d = np.nonzero(side == q)[0]
         jq, kq = j[d], k[d]
         # advanced indices on axes 1 and 3 put the direction axis first: (Dq, R, n)
-        c = cos[:, d].T[:, :, None]
-        s = sin[:, d].T[:, :, None]
-        uj = u[:, :, jq].transpose(2, 0, 1)
-        uk = u[:, :, kq].transpose(2, 0, 1)
-        cand[:, d, :, jq] = c * uj + mult_j[d, None, None] * s * uk
-        cand[:, d, :, kq] = mult_k[d, None, None] * s * uj + c * uk
+        cand[:, d, :, jq], cand[:, d, :, kq] = _rotate_columns(
+            u[:, :, jq].transpose(2, 0, 1), u[:, :, kq].transpose(2, 0, 1),
+            cos[:, d].T[:, :, None], sin[:, d].T[:, :, None],
+            mult_j[d, None, None], mult_k[d, None, None],
+        )
         out.append(cand.reshape(r * ndir, n, n))
     return out
 
 
-def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
-                        warm_starts=()) -> OptimizationResult:
-    """Maximize a batched objective over measurement bases, one per side.
+def _rotate_accepted(points, rows, dirs, steps, planes):
+    """Apply direction ``dirs[i]`` at step ``steps[i]`` to restart ``rows[i]``, in place."""
+    side, j, k, mult_j, mult_k, sign = planes
+    ang = steps * sign[dirs]
+    cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    for q, u in enumerate(points):
+        on = side[dirs] == q
+        r, d = rows[on], dirs[on]
+        # advanced indices on axes 0 and 2 give (len(r), n) column stacks
+        u[r, :, j[d]], u[r, :, k[d]] = _rotate_columns(
+            u[r, :, j[d]], u[r, :, k[d]], cos[on], sin[on], mult_j[d, None], mult_k[d, None]
+        )
 
-    A point is a tuple of unitaries, one per measured side with sizes
-    ``dims``, whose columns are the basis vectors. ``batch_eval(*stacks)``
-    maps one (N, n, n) stack of candidate unitaries per side to N objective
-    values. The warm starts (tuples of unitaries) come first, then
-    ``cfg.restarts`` random starts: restart r starts at one Haar unitary per
-    side, drawn in side order from ``default_rng([cfg.seed, r])``, so its
-    start does not depend on ``cfg.restarts``.
 
-    The search is a multistart compass search run in lockstep across
-    restarts, so each poll round is one batched evaluation. A poll is U G for
-    a closed-form Givens rotation G in one plane of one side (see
-    ``_givens_planes``), so candidates need no matrix exponential. Each
-    restart accepts its best polled candidate (the lowest direction index on
-    ties), shrinks its step on failure, and stops when an accepted
-    improvement falls below the value tolerance or the step falls below the
-    step tolerance. ``best_params`` of the result is the winning tuple of
-    unitaries.
+class _CandidatePolls:
+    """Scores polls by building every candidate's unitaries for ``batch_eval``.
+
+    ``batch_eval(*stacks)`` maps one (N, n, n) stack of unitaries per side to
+    N objective values.
     """
-    starts = [tuple(np.asarray(u, dtype=complex) for u in w) for w in warm_starts]
+
+    def __init__(self, batch_eval):
+        self.batch_eval = batch_eval
+
+    def values(self, points):
+        return np.asarray(self.batch_eval(*points), dtype=float)
+
+    def poll(self, points, steps, planes):
+        cand = _givens_poll(points, steps, planes)
+        return np.asarray(self.batch_eval(*cand), dtype=float).reshape(len(steps), -1)
+
+
+def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
+    """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side."""
+    draws = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        starts.append(tuple(haar_unitary(rng, n) for n in dims))
-    points = [np.array([s[q] for s in starts]) for q in range(len(dims))]
-    planes = _givens_planes(dims)
-    ndir = len(planes[-1])
+        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
+    points = []
+    for q, n in enumerate(dims):
+        warm = np.array([np.asarray(w[q], dtype=complex) for w in warm_starts])
+        rand = _haar_from_ginibre(np.array([d[q] for d in draws]))
+        points.append(np.concatenate([warm.reshape(-1, n, n), rand]))
+    return points
 
-    total = len(starts)
-    values = np.asarray(batch_eval(*points), dtype=float)
+
+def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
+    """Maximize an objective over measurement bases, one per side.
+
+    A point is a tuple of unitaries, one per measured side with sizes
+    ``dims``, whose columns are the basis vectors. The warm starts (tuples
+    of unitaries) come first, then ``cfg.restarts`` random starts: restart r
+    starts at one Haar unitary per side, drawn in side order from
+    ``default_rng([cfg.seed, r])``, so its start does not depend on
+    ``cfg.restarts``.
+
+    ``scorer`` evaluates the objective: ``scorer.values(points)`` maps one
+    (R, n, n) stack per side to R values, and ``scorer.poll(points, steps,
+    planes)`` maps the same stacks, R step sizes and the directions of
+    ``_givens_planes`` to the (R, D) values of every restart's polled
+    candidates.
+
+    The search is a multistart compass search run in lockstep across
+    restarts, so each poll round is one scorer call. A poll is U G for a
+    closed-form Givens rotation G in one plane of one side (see
+    ``_givens_planes``), so candidates need no matrix exponential. Each
+    restart accepts its best polled candidate (the lowest direction index on
+    ties) by rotating its own two columns, shrinks its step on failure, and
+    stops when an accepted improvement falls below the value tolerance or
+    the step falls below the step tolerance. ``best_params`` of the result
+    is the winning tuple of unitaries.
+    """
+    points = _start_points(dims, cfg, list(warm_starts))
+    planes = _givens_planes(dims)
+
+    values = scorer.values(points)
+    total = len(values)
     steps = np.full(total, _INITIAL_STEP)
     active = np.ones(total, dtype=bool)
     converged = np.zeros(total, dtype=bool)
@@ -192,8 +244,7 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        cand = _givens_poll([p[idx] for p in points], steps[idx], planes)
-        vals = np.asarray(batch_eval(*cand), dtype=float).reshape(len(idx), ndir)
+        vals = scorer.poll([p[idx] for p in points], steps[idx], planes)
         best_j = np.argmax(vals, axis=1)
         best_v = vals[np.arange(len(idx)), best_j]
         iters[idx] += 1
@@ -201,9 +252,7 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
         acc = imp > 0
         up = idx[acc]
         values[up] = best_v[acc]
-        rows = np.nonzero(acc)[0] * ndir + best_j[acc]
-        for p, c in zip(points, cand):
-            p[up] = c[rows]
+        _rotate_accepted(points, up, best_j[acc], steps[up], planes)
         steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
         small = idx[acc & (imp < cfg.value_tolerance)]
         converged[small] = True
@@ -234,6 +283,16 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
         iterations_total=int(iters.sum()),
         converged=bool(converged[best]),
     )
+
+
+def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
+                        warm_starts=()) -> OptimizationResult:
+    """``compass_search`` of a batched objective over measurement bases.
+
+    ``batch_eval(*stacks)`` maps one (N, n, n) stack of candidate unitaries
+    per side to N objective values; every polled candidate is built.
+    """
+    return compass_search(_CandidatePolls(batch_eval), dims, cfg, warm_starts)
 
 
 def maximize_over_product_bases(objective, dims, cfg: OptimizerConfig,

@@ -252,9 +252,14 @@ def classical_classical(p, basis_a, basis_b) -> BipartiteState:
     return make_bipartite(rho, na, nb)
 
 
+def _ginibre_matrix(rng, rows: int, cols: int) -> np.ndarray:
+    """A complex Ginibre matrix: real and imaginary parts standard normal."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def _ginibre(rng, d: int, rank: int) -> np.ndarray:
     """G G^dag / tr for a complex d x rank Ginibre matrix G drawn from ``rng``."""
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g = _ginibre_matrix(rng, d, rank)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -460,7 +460,13 @@ class AuditReport:
 def audit_states(n_states: int, seed: int, dims=(2, 2),
                  cfg: OptimizerConfig = None) -> AuditReport:
     """Sample random states and exercise every cheap invariant plus the
-    geometric bound hierarchy; returns counts and worst margins."""
+    geometric bound hierarchy; returns counts and worst margins.
+
+    The local-unitary invariance row compares the two-sided geometric value
+    of each state with that of (U_A x U_B) rho (U_A x U_B)^dag. The local
+    unitaries come from their own stream, ``default_rng([seed, 48, k])`` for
+    state k, so the sampled states and measurements do not depend on it.
+    """
     na, nb = dims
     if na * nb > 9:
         raise DomainError("audit dims are capped at 9-dimensional joint spaces")
@@ -520,4 +526,10 @@ def audit_states(n_states: int, seed: int, dims=(2, 2),
                    ab.value - max(da.value, db.value), 1e-6, k)
         rep.record("one-sided-above-lower-bounds",
                    min(da.value - da.lower_bound, db.value - db.lower_bound), 1e-8, k)
+
+        lu = np.random.default_rng([seed, 48, k])
+        w = np.kron(haar_unitary(lu, na), haar_unitary(lu, nb))
+        moved = make_bipartite(w @ st.entries @ w.conj().T, na, nb)
+        rep.record("local-unitary-invariance",
+                   -abs(ab.value - geo_discord_two_sided(moved, cfg).value), 1e-6, k)
     return rep

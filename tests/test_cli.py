@@ -103,6 +103,17 @@ class TestCompute:
         assert rec["entropic_two_sided"] > rec["mutual_information"]
         assert rec["flagged"] is True
 
+    def test_linalg_error_exits_2(self, bell_file, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "geo_discord_two_sided", failing)
+        assert main(["compute", bell_file, *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_invalid_density_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "notdm.json"
         path.write_text(json.dumps(
@@ -151,6 +162,7 @@ class TestAudit:
         assert main(["audit", "--states", "3", "--dims", "2x2", *FAST]) == 0
         out = capsys.readouterr().out
         assert "0 violations" in out
+        assert "local-unitary-invariance: worst margin" in out
 
     def test_zero_states(self, capsys):
         assert main(["audit", "--states", "0"]) == 0

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
-from twodiscord.measurement import haar_unitary
+from twodiscord._contract import TablePolls, shannon_bits
+from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _givens_planes,
     _givens_poll,
+    _start_points,
     maximize_over_bases,
     sphere_grid,
+    warm_start_bases,
 )
 from twodiscord.verification import random_bipartite
 
@@ -86,6 +89,15 @@ class TestHaarUnitary:
             np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
             assert np.array_equal(u, haar_unitary(np.random.default_rng([7, 3]), n))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2,), (3, 3), (4, 4)])
+    def test_batched_starts_match_per_restart_draws(self, dims):
+        cfg = OptimizerConfig(restarts=64, seed=11)
+        points = _start_points(dims, cfg, [])
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng([cfg.seed, r])
+            for q, n in enumerate(dims):
+                assert np.array_equal(points[q][r], haar_unitary(rng, n))
+
 
 class TestMaximizeOverProductBases:
     def test_bell_dephased_purity(self):
@@ -159,6 +171,56 @@ class TestGivensPolls:
         for side in ("basis_a", "basis_b"):
             assert np.array_equal(getattr(r1.optimal_measurement, side).vectors,
                                   getattr(r2.optimal_measurement, side).vectors)
+
+
+def _full_contraction_tables(r, ua, ub):
+    """p[n, alpha, beta] for each candidate pair, contracted from scratch."""
+    p = np.einsum("nap,nbq,abcd,ncp,ndq->npq", ua.conj(), ub.conj(), r, ua, ub,
+                  optimize=True).real
+    return np.where(p < 0, 0.0, p)
+
+
+class TestTablePolls:
+    """Two-row table updates agree with contracting every candidate in full."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("step", [0.25, 1e-3])
+    def test_tables_match_candidate_distributions(self, dims, step):
+        rng = np.random.default_rng([17, *dims])
+        state = random_bipartite(rng, *dims)
+        restarts = 3
+        points = [np.array([haar_unitary(rng, n) for _ in range(restarts)]) for n in dims]
+        planes = _givens_planes(dims)
+        steps = np.full(restarts, step)
+        tables = TablePolls(state.reshaped(), None).tables(points, steps, planes)
+        ua, ub = _givens_poll(points, steps, planes)
+        assert tables.shape == (restarts, len(planes[0]), *dims)
+        for got, a, b in zip(tables.reshape(-1, *dims), ua, ub, strict=True):
+            m = td.ProductMeasurement(_basis_unchecked(a), _basis_unchecked(b))
+            np.testing.assert_allclose(got, td.diagonal_distribution(state, m), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_sided_searches_match_candidate_route(self, seed):
+        state = td.random_state(2, 3, rank=int(seed + 2), seed=seed)
+        r = state.reshaped()
+        cfg = OptimizerConfig(restarts=8, seed=seed)
+        warm = warm_start_bases(state, cfg, ("A", "B"))
+
+        def purity_batch(ua, ub):
+            p = _full_contraction_tables(r, ua, ub)
+            return np.sum(p * p, axis=(1, 2))
+
+        def information_batch(ua, ub):
+            p = _full_contraction_tables(r, ua, ub)
+            return (shannon_bits(p.sum(axis=2), axis=-1) + shannon_bits(p.sum(axis=1), axis=-1)
+                    - shannon_bits(p.reshape(len(p), -1), axis=-1))
+
+        geo = maximize_over_bases(purity_batch, (2, 3), cfg, warm)
+        want = td.purity(state.rho) - geo.best_value
+        assert td.geo_discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
+        ent = maximize_over_bases(information_batch, (2, 3), cfg, warm)
+        want = td.mutual_information(state) - ent.best_value
+        assert td.discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
 
 
 class TestLocalUnitaryInvariance:
