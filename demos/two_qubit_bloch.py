@@ -2,7 +2,8 @@
 
 Shows the closed-route pipeline on a handful of states: decompose into
 (x, y, T), run the alternating top-eigenvector maximization, certify the
-result against an exhaustive latitude-longitude grid, and compare with
+result against an exhaustive search of the projective grid (one
+latitude-longitude grid direction per antipodal pair), and compare with
 the generic product-basis optimizer.
 """
 

@@ -320,59 +320,73 @@ def bloch_pair_objective(x, y, t, a, b) -> float:
     return float((a @ x) ** 2 + (b @ y) ** 2 + (a @ t @ b) ** 2)
 
 
-def _top_unit_eigvec(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    vec = v[:, -1]
-    # deterministic sign: first component of largest magnitude made positive
-    piv = int(np.argmax(np.abs(vec)))
-    if vec[piv] < 0:
-        vec = -vec
+def _top_unit_eigvecs(m: np.ndarray) -> np.ndarray:
+    """Top eigenvector of each symmetric matrix in an (S, 3, 3) stack.
+
+    Deterministic sign: the first component of largest magnitude is made
+    positive.
+    """
+    vec = np.linalg.eigh(m)[1][:, :, -1]
+    piv = np.argmax(np.abs(vec), axis=1)
+    flip = vec[np.arange(len(vec)), piv] < 0
+    vec[flip] = -vec[flip]
     return vec
 
 
 def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
+    """Multistart alternation, run in lockstep across starts.
+
+    The starts are e_1, e_2, e_3, the top right singular vector of T, y/|y|
+    (when y != 0) and ``cfg.restarts`` Gaussian directions from
+    ``default_rng([cfg.seed, r])``. Each start stops once its value rises by
+    less than the value tolerance, or at the iteration cap; each half-step is
+    one batched eigh over the starts still running. The winner is the first
+    start within the value tolerance of the best value.
+    """
     x, y, t = b.x, b.y, b.t
     _, _, vt = np.linalg.svd(t)
     starts = [np.eye(3)[i] for i in range(3)] + [vt[0]]
     if np.linalg.norm(y) > 0:
         starts.append(y / np.linalg.norm(y))
     for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        v = rng.standard_normal(3)
+        v = np.random.default_rng([cfg.seed, r]).standard_normal(3)
         n = np.linalg.norm(v)
         starts.append(v / n if n > 0 else np.eye(3)[0])
 
-    best = (-np.inf, None, None, 0)
-    total_iters = 0
-    any_converged = False
-    for i, bv0 in enumerate(starts):
-        bv = bv0
-        val = -np.inf
-        conv = False
-        for _ in range(cfg.max_iterations):
-            total_iters += 1
-            w = t @ bv
-            a = _top_unit_eigvec(np.outer(x, x) + np.outer(w, w))
-            w2 = t.T @ a
-            bv = _top_unit_eigvec(np.outer(y, y) + np.outer(w2, w2))
-            new = bloch_pair_objective(x, y, t, a, bv)
-            if new - val < cfg.value_tolerance:
-                val = max(val, new)
-                conv = True
-                break
-            val = new
-        if val > best[0] + cfg.value_tolerance:
-            best = (val, a, bv, i)
-        any_converged = any_converged or conv
-    value, a, bv, idx = best
+    bv = np.array(starts)
+    a = np.zeros_like(bv)
+    total = len(bv)
+    values = np.full(total, -np.inf)
+    active = np.ones(total, dtype=bool)
+    converged = np.zeros(total, dtype=bool)
+    iters = np.zeros(total, dtype=int)
+    xx, yy = np.outer(x, x), np.outer(y, y)
+    for _ in range(cfg.max_iterations):
+        idx = np.nonzero(active)[0]
+        if not len(idx):
+            break
+        iters[idx] += 1
+        w = bv[idx] @ t.T  # rows T b
+        a[idx] = _top_unit_eigvecs(xx + w[:, :, None] * w[:, None, :])
+        w2 = a[idx] @ t  # rows T^t a
+        bv[idx] = _top_unit_eigvecs(yy + w2[:, :, None] * w2[:, None, :])
+        new = (a[idx] @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
+        old = values[idx]
+        done = new - old < cfg.value_tolerance
+        values[idx] = np.where(done, np.maximum(old, new), new)
+        converged[idx[done]] = True
+        active[idx[done]] = False
+
+    vmax = values.max()
+    best = int(np.nonzero(values >= vmax - cfg.value_tolerance)[0][0])
     report = OptimizationResult(
-        best_value=float(value),
-        best_params=np.concatenate([a, bv]),
-        restarts_run=len(starts),
-        iterations_total=total_iters,
-        converged=any_converged,
+        best_value=float(values[best]),
+        best_params=np.concatenate([a[best], bv[best]]),
+        restarts_run=total,
+        iterations_total=int(iters.sum()),
+        converged=bool(converged[best]),
     )
-    return a, bv, float(value), report
+    return a[best], bv[best], float(values[best]), report
 
 
 def alternating_sphere_max(b: TwoQubitBloch, cfg: OptimizerConfig):
@@ -397,18 +411,40 @@ def sphere_grid(resolution: int) -> np.ndarray:
     return pts
 
 
+def projective_grid(resolution: int) -> np.ndarray:
+    """One ``sphere_grid`` point per antipodal pair: R^2 - R + 1 directions.
+
+    The antipode of latitude i, longitude k is latitude R - i, longitude
+    k + R (mod 2R). The grid keeps the north pole, every latitude with
+    0 < 2i < R and, for even R, the first R longitudes of the equator, so an
+    objective even in each direction has the same maximum on it as on the
+    whole sphere grid.
+    """
+    if resolution < 8:
+        raise DomainError("resolution must be >= 8")
+    r = resolution
+    lat = np.arange(1, (r + 1) // 2)
+    idx = [np.zeros(1, dtype=int), (lat[:, None] * 2 * r + np.arange(2 * r)).ravel()]
+    if r % 2 == 0:
+        idx.append(r * r + np.arange(r))
+    return sphere_grid(r)[np.concatenate(idx)]
+
+
 def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     """Exhaustive max of the Bloch pair objective over grid points on both spheres.
+
+    The objective is even in a and in b, so both range over
+    ``projective_grid``, one direction per antipodal pair.
 
     The pairwise max is computed exactly with branch-and-bound pruning: for a
     fixed a the continuous maximum over b is a closed-form top eigenvalue of a
     rank-2 form, which upper-bounds every grid value, so grid directions whose
     bound cannot beat the incumbent are skipped without changing the result.
+    The direction with the largest bound sets the first incumbent; only the
+    directions whose bound exceeds it are sorted and scanned.
     """
-    if resolution < 8:
-        raise DomainError("resolution must be >= 8")
+    pts = projective_grid(resolution)
     x, y, t = b.x, b.y, b.t
-    pts = sphere_grid(resolution)
     ax2 = (pts @ x) ** 2
     by2 = (pts @ y) ** 2
     w = pts @ t  # row i is a_i^T T, i.e. (T^t a_i)^t
@@ -417,12 +453,14 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     g12 = w @ y
     lam = 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12**2))
     ub = ax2 + lam
-    order = np.argsort(-ub, kind="stable")
-    best = -np.inf
-    for i in order:
+
+    def value(i):
+        return ax2[i] + np.max(by2 + (pts @ w[i]) ** 2)
+
+    best = value(int(np.argmax(ub)))
+    rest = np.nonzero(ub > best)[0]
+    for i in rest[np.argsort(-ub[rest], kind="stable")]:
         if ub[i] <= best:
             break
-        v = ax2[i] + np.max(by2 + (pts @ w[i]) ** 2)
-        if v > best:
-            best = v
+        best = max(best, value(i))
     return float(best)

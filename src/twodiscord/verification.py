@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._contract import shannon_bits
+from ._contract import EIG_FLOOR, shannon_bits
 from .errors import DomainError
 from .entropic import (
     discord_two_sided,
@@ -44,7 +44,7 @@ from .optimize import (
     OptimizerConfig,
     alternating_sphere_max,
     maximize_over_bases,
-    sphere_grid,
+    projective_grid,
     sphere_grid_oracle,
 )
 from .states import (
@@ -138,27 +138,46 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
 
     For measurement directions (a, b) the diagonal table is
     p(s, t) = (1 + s a.x + t b.y + s t a.T.b) / 4 with s, t = +-1, so the
-    whole grid evaluates without touching density matrices.
+    whole grid evaluates without touching density matrices. Flipping a or b
+    only permutes the table, so both range over ``projective_grid``. The
+    marginal entropies depend on one direction each and are computed once
+    per direction; the joint entropy is accumulated chunk by chunk in
+    preallocated buffers.
     """
+    pts = projective_grid(resolution)
     b = to_bloch(state)
-    pts = sphere_grid(resolution)
-    ax = pts @ b.x
-    by = pts @ b.y
+    n = len(pts)
+    signs = np.array([1.0, -1.0])
+    # 0.25 (1 + s a.x) and 0.25 t b.y: p(s, t) = qa[s] + qb[t] + s t m / 4, exactly
+    qa = 0.25 * (1.0 + np.multiply.outer(signs, pts @ b.x))
+    qb = 0.25 * np.multiply.outer(signs, pts @ b.y)
+    marginals = np.clip(2.0 * qa, 0.0, None), np.clip(0.5 + 2.0 * qb, 0.0, None)
+    h_a, h_b = (shannon_bits(q, axis=0) for q in marginals)
+    t_rows = b.t @ pts.T
+    chunk = 32
+    m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))
+    small = np.empty((chunk, n), dtype=bool)
     best = -np.inf
-    chunk = 256
-    for lo in range(0, pts.shape[0], chunk):
-        a_sel = slice(lo, lo + chunk)
-        axc = ax[a_sel][:, None]
-        m = pts[a_sel] @ b.t @ pts.T
-        p = 0.25 * np.stack(
-            [1 + axc + by + m, 1 + axc - by - m, 1 - axc + by - m, 1 - axc - by + m]
-        )
-        np.clip(p, 0.0, None, out=p)
-        ha = shannon_bits(np.stack([p[0] + p[1], p[2] + p[3]]), axis=0)
-        hb = shannon_bits(np.stack([p[0] + p[2], p[1] + p[3]]), axis=0)
-        hj = shannon_bits(p, axis=0)
-        retained = ha + hb - hj
-        best = max(best, float(retained.max()))
+    for lo in range(0, n, chunk):
+        rows = slice(lo, lo + chunk)
+        c = min(chunk, n - lo)
+        mc, pc, tc, rc, sc = m[:c], p[:c], term[:c], retained[:c], small[:c]
+        np.matmul(pts[rows], t_rows, out=mc)
+        mc *= 0.25
+        # retained information H(A) + H(B) - H(A, B), with H(A, B) subtracted
+        # term by term as + p log p (0 where p < EIG_FLOOR, as in shannon_bits)
+        np.add(h_a[rows, None], h_b, out=rc)
+        for i in range(2):
+            for j in range(2):
+                np.add(qa[i, rows, None], qb[j], out=pc)
+                (np.add if i == j else np.subtract)(pc, mc, out=pc)
+                np.maximum(pc, 0.0, out=pc)
+                np.less(pc, EIG_FLOOR, out=sc)
+                np.maximum(pc, sc, out=tc)  # p, or 1 where p < EIG_FLOOR
+                np.log2(tc, out=tc)
+                tc *= pc
+                rc += tc
+        best = max(best, float(rc.max()))
     return mutual_information(state) - best
 
 

@@ -3,6 +3,8 @@ import pytest
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
+from twodiscord._contract import shannon_bits
+from twodiscord.optimize import sphere_grid
 from twodiscord.verification import (
     entropic_oracle_two_qubit,
     random_basis,
@@ -159,3 +161,42 @@ class TestDiscordTwoSided:
         res = td.discord_two_sided(td.bell_state(), CFG)
         assert isinstance(res.optimal_measurement, td.ProductMeasurement)
         assert res.optimizer_report.restarts_run >= CFG.restarts
+
+
+def _entropic_oracle_reference(state, resolution):
+    """The oracle over every pair of whole-sphere grid points, each table whole."""
+    b = td.to_bloch(state)
+    pts = sphere_grid(resolution)
+    ax = (pts @ b.x)[:, None]
+    by = pts @ b.y
+    m = pts @ b.t @ pts.T
+    p = 0.25 * np.stack([1 + ax + by + m, 1 + ax - by - m, 1 - ax + by - m, 1 - ax - by + m])
+    np.clip(p, 0.0, None, out=p)
+    ha = shannon_bits(np.stack([p[0] + p[1], p[2] + p[3]]), axis=0)
+    hb = shannon_bits(np.stack([p[0] + p[2], p[1] + p[3]]), axis=0)
+    retained = ha + hb - shannon_bits(p, axis=0)
+    return td.mutual_information(state) - float(retained.max())
+
+
+class TestEntropicOracle:
+    @pytest.mark.parametrize("resolution", [8, 16, 32])
+    def test_matches_full_grid_reference(self, resolution):
+        plus = td.DensityMatrix(np.full((2, 2), 0.5))
+        zero = td.DensityMatrix(np.diag([1.0, 0.0]))
+        states = [td.random_state(2, 2, rank=rank, seed=seed)
+                  for rank in (1, 2, 3, 4) for seed in (0, 1)]
+        states += [td.bell_state(), td.tensor(zero, plus)]
+        for st in states:
+            assert entropic_oracle_two_qubit(st, resolution) == pytest.approx(
+                _entropic_oracle_reference(st, resolution), abs=1e-12
+            )
+
+    def test_bell_and_product_values(self):
+        assert entropic_oracle_two_qubit(td.bell_state(), 16) == pytest.approx(1.0, abs=1e-12)
+        zero = td.DensityMatrix(np.diag([1.0, 0.0]))
+        assert entropic_oracle_two_qubit(td.tensor(zero, zero), 16) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution", [0, -3, 4])
+    def test_rejects_small_resolution(self, resolution):
+        with pytest.raises(td.DomainError):
+            entropic_oracle_two_qubit(td.bell_state(), resolution)

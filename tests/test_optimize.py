@@ -11,8 +11,11 @@ from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _givens_planes,
     _givens_poll,
+    _alternating_detail,
     _start_points,
+    bloch_pair_objective,
     maximize_over_bases,
+    projective_grid,
     sphere_grid,
     warm_start_bases,
 )
@@ -286,3 +289,97 @@ class TestSphereRoutines:
         b = td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(td.DomainError):
             td.sphere_grid_oracle(b, 4)
+
+
+def _alternating_reference(b, cfg):
+    """The alternation run one start at a time; (value, restarts, iterations)."""
+    x, y, t = b.x, b.y, b.t
+
+    def top(m):
+        vec = np.linalg.eigh(m)[1][:, -1]
+        piv = int(np.argmax(np.abs(vec)))
+        return -vec if vec[piv] < 0 else vec
+
+    starts = [np.eye(3)[i] for i in range(3)] + [np.linalg.svd(t)[2][0]]
+    if np.linalg.norm(y) > 0:
+        starts.append(y / np.linalg.norm(y))
+    for r in range(cfg.restarts):
+        v = np.random.default_rng([cfg.seed, r]).standard_normal(3)
+        starts.append(v / np.linalg.norm(v))
+    best, total_iters = -np.inf, 0
+    for bv in starts:
+        val = -np.inf
+        for _ in range(cfg.max_iterations):
+            total_iters += 1
+            w = t @ bv
+            a = top(np.outer(x, x) + np.outer(w, w))
+            w2 = t.T @ a
+            bv = top(np.outer(y, y) + np.outer(w2, w2))
+            new = bloch_pair_objective(x, y, t, a, bv)
+            if new - val < cfg.value_tolerance:
+                val = max(val, new)
+                break
+            val = new
+        if val > best + cfg.value_tolerance:
+            best = val
+    return best, len(starts), total_iters
+
+
+class TestAlternatingLockstep:
+    @pytest.mark.parametrize("restarts", [4, 8, 64])
+    def test_matches_per_start_reference(self, restarts):
+        cfg = OptimizerConfig(restarts=restarts, seed=0)
+        for seed in range(20):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
+            a, bv, value, report = _alternating_detail(b, cfg)
+            want, runs, iters = _alternating_reference(b, cfg)
+            assert value == pytest.approx(want, abs=1e-12)
+            assert (report.restarts_run, report.iterations_total) == (runs, iters)
+            assert report.best_value == value
+            assert bloch_pair_objective(b.x, b.y, b.t, a, bv) == pytest.approx(value, abs=1e-14)
+
+    def test_converged_is_the_winners_flag(self):
+        # every start stops at the 6th iteration; start 0 wins at the cap while
+        # another start meets the value tolerance on its last iteration
+        b = td.to_bloch(td.random_state(2, 2, rank=4, seed=0))
+        cfg = OptimizerConfig(restarts=8, max_iterations=6)
+        report = _alternating_detail(b, cfg)[3]
+        assert report.iterations_total == 6 * report.restarts_run
+        assert not report.converged
+        assert _alternating_detail(b, OptimizerConfig(restarts=8))[3].converged
+
+
+class TestProjectiveGrid:
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 33])
+    def test_count(self, resolution):
+        assert projective_grid(resolution).shape == (resolution**2 - resolution + 1, 3)
+
+    @pytest.mark.parametrize("resolution", [9, 16, 32])
+    def test_covers_sphere_grid_once_per_antipodal_pair(self, resolution):
+        full, half = sphere_grid(resolution), projective_grid(resolution)
+        dist = np.minimum(
+            np.linalg.norm(full[:, None] - half[None], axis=2),
+            np.linalg.norm(full[:, None] + half[None], axis=2),
+        )
+        assert dist.min(axis=1).max() <= 1e-15
+        same = np.minimum(
+            np.linalg.norm(half[:, None] - half[None], axis=2),
+            np.linalg.norm(half[:, None] + half[None], axis=2),
+        )
+        np.fill_diagonal(same, np.inf)
+        assert same.min() > 1e-6
+
+    @pytest.mark.parametrize("resolution", [0, -3, 4, 7])
+    def test_rejects_small_resolution(self, resolution):
+        with pytest.raises(td.DomainError):
+            projective_grid(resolution)
+
+    def test_grid_oracle_matches_full_grid(self):
+        # brute force over every pair of whole-sphere grid points
+        pts = sphere_grid(16)
+        for seed in range(6):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
+            full = np.max(
+                ((pts @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None] + (pts @ b.t @ pts.T) ** 2
+            )
+            assert td.sphere_grid_oracle(b, 16) == pytest.approx(full, abs=1e-12)
