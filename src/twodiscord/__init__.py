@@ -71,7 +71,6 @@ from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     alternating_sphere_max,
-    maximize_over_product_bases,
     sphere_grid_oracle,
 )
 from .serialize import load_state, save_state, state_from_dict, state_to_dict

@@ -27,10 +27,14 @@ from .geometric import (
 from .optimize import OptimizerConfig
 from .serialize import load_state
 from .states import isotropic, purity, werner
-from .verification import audit_states, run_verify
-
-CHAIN_TOL = 1e-6
-BOUND_TOL = 1e-8
+from .verification import (
+    audit_states,
+    entropic_margins,
+    geometric_margins,
+    hierarchy,
+    run_verify,
+    violated,
+)
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,14 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
 
     The one-sided searches are warm-started from the two-sided optimum so
     the reported hierarchy cannot be broken by an unlucky restart draw.
-    ``flagged`` is set when a value leaves its documented bracket: each
-    geometric value below its spectral lower bound, the two-sided value
-    below a one-sided one, and with the entropic values, any of them outside
-    [0, mutual information] or the two-sided one below a one-sided one.
+    ``flagged`` is set when a value leaves its documented bracket, judged by
+    ``verification.TOLERANCES``: each geometric value below its spectral
+    lower bound, the two-sided value below a one-sided one, and with the
+    entropic values, any of them outside [0, mutual information] or the
+    two-sided one below a one-sided one.
     """
-    ab = geo_discord_two_sided(state, cfg)
-    da = geo_discord_one_sided(
-        state, "A", cfg, extra_warm_starts=[ab.optimal_measurement.basis_a]
-    )
-    db = geo_discord_one_sided(
-        state, "B", cfg, extra_warm_starts=[ab.optimal_measurement.basis_b]
-    )
-    flagged = (
-        ab.value < max(da.value, db.value) - CHAIN_TOL
-        or any(r.value < r.lower_bound - BOUND_TOL for r in (ab, da, db))
-    )
+    ab, da, db = hierarchy(state, cfg, geo_discord_two_sided, geo_discord_one_sided)
+    margins = geometric_margins(ab, da, db)
     mi = mutual_information(state)
     report = {
         "dim_a": state.dim_a,
@@ -117,21 +113,15 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
         "restarts": ab.optimizer_report.restarts_run,
         "iterations": ab.optimizer_report.iterations_total,
         "converged": ab.optimizer_report.converged,
-        "flagged": flagged,
+        "flagged": False,
     }
     if with_entropic:
-        eab = discord_two_sided(state, cfg)
-        m = eab.optimal_measurement
-        ea = discord_one_sided(state, "A", cfg, extra_warm_starts=[m.basis_a]).value
-        eb = discord_one_sided(state, "B", cfg, extra_warm_starts=[m.basis_b]).value
-        report["entropic_one_sided_a"] = ea
-        report["entropic_one_sided_b"] = eb
+        eab, ea, eb = hierarchy(state, cfg, discord_two_sided, discord_one_sided)
+        report["entropic_one_sided_a"] = ea.value
+        report["entropic_one_sided_b"] = eb.value
         report["entropic_two_sided"] = eab.value
-        report["flagged"] = (
-            flagged
-            or any(not -CHAIN_TOL <= v <= mi + CHAIN_TOL for v in (ea, eb, eab.value))
-            or eab.value < max(ea, eb) - CHAIN_TOL
-        )
+        margins.update(entropic_margins(mi, eab, ea, eb))
+    report["flagged"] = bool(violated(margins))
     return report
 
 
@@ -159,7 +149,7 @@ def cmd_sweep(args) -> int:
         res = geo_discord_two_sided(make(spec.m, x), cfg)
         want = closed(spec.m, x)
         gap = abs(want - res.value)
-        ok = ok and gap <= CHAIN_TOL
+        ok = ok and not violated({f"{spec.family}-closed-form": -gap})
         lines.append(
             f"{spec.family},{spec.m},{_fmt(x)},{_fmt(want)},{_fmt(res.value)},"
             f"{_fmt(res.lower_bound)},{_fmt(gap)}"

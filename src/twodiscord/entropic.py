@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._contract import TablePolls, entropy_of_spectra, shannon_bits, side_blocks_batch
-from .errors import DomainError
 from .measurement import (
     ProductMeasurement,
     _basis_unchecked,
+    _check_side,
     dephase_one_sided,
     diagonal_distribution,
 )
@@ -49,19 +49,20 @@ def mutual_information(state: BipartiteState) -> float:
     )
 
 
-def _retained_mutual_information(p: np.ndarray) -> float:
-    """Mutual information of the two-sided-dephased state from its diagonal table."""
-    return float(
-        shannon_bits(p.sum(axis=1), axis=-1)
-        + shannon_bits(p.sum(axis=0), axis=-1)
-        - shannon_bits(p.reshape(-1), axis=-1)
+def _retained_information(p: np.ndarray) -> np.ndarray:
+    """Mutual information of the two-sided-dephased state from its diagonal
+    table, for each (na, nb) table in a stack."""
+    return (
+        shannon_bits(p.sum(axis=-1), axis=-1)
+        + shannon_bits(p.sum(axis=-2), axis=-1)
+        - shannon_bits(p.reshape(*p.shape[:-2], -1), axis=-1)
     )
 
 
 def measured_loss_two_sided(state: BipartiteState, m: ProductMeasurement) -> float:
     """Mutual information lost under the two-sided dephasing; never negative."""
     p = diagonal_distribution(state, m)
-    return mutual_information(state) - _retained_mutual_information(p)
+    return mutual_information(state) - float(_retained_information(p))
 
 
 def loss_split(state: BipartiteState, m: ProductMeasurement):
@@ -86,8 +87,7 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
 
     A heuristic upper estimate of the true infimum.
     """
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     n = state.dim_a if side == "A" else state.dim_b
     r = state.reshaped()
 
@@ -109,19 +109,11 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
     return DiscordValue(value=float(value), optimal_measurement=basis, optimizer_report=res)
 
 
-def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
-                      extra_warm_starts=()) -> DiscordValue:
+def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordValue:
     """Mutual information minus the best found retained mutual information."""
-    def retained_information(p):
-        return (
-            shannon_bits(p.sum(axis=2), axis=-1)
-            + shannon_bits(p.sum(axis=1), axis=-1)
-            - shannon_bits(p.reshape(p.shape[0], -1), axis=-1)
-        )
-
     res = compass_search(
-        TablePolls(state.reshaped(), retained_information), (state.dim_a, state.dim_b), cfg,
-        warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts),
+        TablePolls(state.reshaped(), _retained_information), (state.dim_a, state.dim_b), cfg,
+        warm_start_bases(state, cfg, ("A", "B")),
     )
     ua, ub = res.best_params
     value = mutual_information(state) - res.best_value

@@ -18,6 +18,7 @@ from .measurement import (
     OrthonormalBasis,
     ProductMeasurement,
     _basis_unchecked,
+    _check_side,
     bloch_basis,
     diagonal_distribution,
 )
@@ -117,15 +118,11 @@ class CorrelationData:
         return self.basis_b.dim
 
 
-def correlation_matrix(state: BipartiteState, basis_a: HermitianOperatorBasis = None,
-                       basis_b: HermitianOperatorBasis = None) -> CorrelationData:
-    """C_ij = tr(rho (X_i x Y_j)); tr(C C^t) equals the state's purity."""
-    if basis_a is None:
-        basis_a = hermitian_operator_basis(state.dim_a)
-    if basis_b is None:
-        basis_b = hermitian_operator_basis(state.dim_b)
-    if basis_a.dim != state.dim_a or basis_b.dim != state.dim_b:
-        raise DimensionMismatchError("operator basis dims do not match the state")
+def correlation_matrix(state: BipartiteState) -> CorrelationData:
+    """C_ij = tr(rho (X_i x Y_j)) in the ``hermitian_operator_basis`` of each
+    side; tr(C C^t) equals the state's purity."""
+    basis_a = hermitian_operator_basis(state.dim_a)
+    basis_b = hermitian_operator_basis(state.dim_b)
     r = state.reshaped()
     c = np.einsum("abcd,ica,jdb->ij", r, basis_a.operators, basis_b.operators, optimize=True)
     if np.max(np.abs(c.imag)) > RESIDUE_TOL:
@@ -170,10 +167,14 @@ def hs_distance_sq(r1: BipartiteState, r2: BipartiteState) -> float:
     return float(np.sum(np.abs(d) ** 2))
 
 
+def _retained_purity(p: np.ndarray) -> np.ndarray:
+    """Sum of squares of each (na, nb) table in a stack: the dephased purity."""
+    return np.sum(p * p, axis=(-2, -1))
+
+
 def dephased_purity(state: BipartiteState, m: ProductMeasurement) -> float:
     """Purity of the two-sided dephasing, sum of squared diagonal probabilities."""
-    p = diagonal_distribution(state, m)
-    return float(np.sum(p * p))
+    return float(_retained_purity(diagonal_distribution(state, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,7 @@ def lower_bound_two_sided(cd: CorrelationData) -> float:
 
 def lower_bound_one_sided(cd: CorrelationData, side: str) -> float:
     """tr(CC^t) minus the top n_A (side A) or n_B (side B) eigenvalues."""
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     lam = _sorted_cc_eigvals(cd)
     k = cd.dim_a if side == "A" else cd.dim_b
     return float(np.sum(lam) - np.sum(lam[:k]))
@@ -234,8 +234,7 @@ class GeoResult:
     optimizer_report: OptimizationResult
 
 
-def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
-                          extra_warm_starts=()) -> GeoResult:
+def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> GeoResult:
     """purity(state) minus the best found two-sided dephased purity.
 
     A heuristic upper estimate of the true infimum; the returned lower bound
@@ -243,12 +242,9 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
     probabilities is needed: for fixed bases the closest classical state is
     the dephased state itself (quadratic completion).
     """
-    def retained_purity(p):
-        return np.sum(p * p, axis=(1, 2))
-
     res = compass_search(
-        TablePolls(state.reshaped(), retained_purity), (state.dim_a, state.dim_b), cfg,
-        warm_start_bases(state, cfg, ("A", "B"), extra_warm_starts),
+        TablePolls(state.reshaped(), _retained_purity), (state.dim_a, state.dim_b), cfg,
+        warm_start_bases(state, cfg, ("A", "B")),
     )
     pur = purity(state.rho)
     ua, ub = res.best_params
@@ -264,8 +260,7 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig,
 def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
                           extra_warm_starts=()) -> GeoResult:
     """purity(state) minus the best found one-sided dephased purity."""
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     n = state.dim_a if side == "A" else state.dim_b
     r = state.reshaped()
     pur = purity(state.rho)

@@ -102,8 +102,7 @@ def bloch_vector_of_basis(basis: OrthonormalBasis):
     """Inverse of bloch_basis up to phase: the +a projector's Bloch vector."""
     if basis.dim != 2:
         raise DimensionMismatchError("requires a qubit basis")
-    p = basis.projector(0)
-    return np.array([np.real(np.trace(p @ PAULI[i])) for i in range(3)])
+    return np.einsum("ab,iba->i", basis.projector(0), PAULI).real
 
 
 def _check_side(side: str):

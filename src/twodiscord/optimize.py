@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measurement import ProductMeasurement, _basis_unchecked, _haar_from_ginibre, bloch_basis
+from .measurement import _haar_from_ginibre, bloch_basis
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace, to_bloch
 
 _INITIAL_STEP = 0.25
@@ -73,9 +73,8 @@ def warm_start_bases(state: BipartiteState, cfg: OptimizerConfig, sides,
     In order: the computational bases; the eigenbases of the measured
     marginals; for two qubits the Bloch basis of the best direction (the
     alternating solution when both sides are measured, the top eigenvector of
-    x x^t + T T^t, or y y^t + T^t T for side B, when one is); then ``extra``,
-    ProductMeasurements for a two-sided search or OrthonormalBases for a
-    one-sided one.
+    x x^t + T T^t, or y y^t + T^t T for side B, when one is); then the
+    OrthonormalBases in ``extra``, for a one-sided search.
     """
     dims = {"A": state.dim_a, "B": state.dim_b}
     starts = [tuple(np.eye(dims[s], dtype=complex) for s in sides)]
@@ -92,9 +91,7 @@ def warm_start_bases(state: BipartiteState, cfg: OptimizerConfig, sides,
                 m = np.outer(b.y, b.y) + b.t.T @ b.t
             vecs = (_unit(np.linalg.eigh(m)[1][:, -1]),)
         starts.append(tuple(bloch_basis(v).vectors for v in vecs))
-    for m in extra:
-        bases = (m.basis_a, m.basis_b) if len(sides) == 2 else (m,)
-        starts.append(tuple(basis.vectors for basis in bases))
+    starts += [(basis.vectors,) for basis in extra]
     return starts
 
 
@@ -295,24 +292,6 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
     return compass_search(_CandidatePolls(batch_eval), dims, cfg, warm_starts)
 
 
-def maximize_over_product_bases(objective, dims, cfg: OptimizerConfig,
-                                warm_starts=()) -> OptimizationResult:
-    """Maximize ``objective(ProductMeasurement)`` over all product bases.
-
-    The warm starts are ProductMeasurements. ``best_params`` of the result
-    is the winning (U_A, U_B) pair.
-    """
-    warm = [(m.basis_a.vectors, m.basis_b.vectors) for m in warm_starts]
-
-    def batch(ua, ub):
-        return np.array([
-            objective(ProductMeasurement(_basis_unchecked(a), _basis_unchecked(b)))
-            for a, b in zip(ua, ub)
-        ])
-
-    return maximize_over_bases(batch, dims, cfg, warm)
-
-
 # ---------------------------------------------------------------------------
 # alternating eigen-iteration and grid oracle on the two-qubit Bloch objective
 
@@ -418,16 +397,28 @@ def projective_grid(resolution: int) -> np.ndarray:
     k + R (mod 2R). The grid keeps the north pole, every latitude with
     0 < 2i < R and, for even R, the first R longitudes of the equator, so an
     objective even in each direction has the same maximum on it as on the
-    whole sphere grid.
+    whole sphere grid. The points are built directly, from the same angles
+    and products as ``sphere_grid``, so they equal its selected rows exactly.
     """
     if resolution < 8:
         raise DomainError("resolution must be >= 8")
     r = resolution
-    lat = np.arange(1, (r + 1) // 2)
-    idx = [np.zeros(1, dtype=int), (lat[:, None] * 2 * r + np.arange(2 * r)).ravel()]
+    theta = np.linspace(0.0, np.pi, r + 1)
+    phi = np.arange(2 * r) * (np.pi / r)
+    st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    # (latitude, number of longitudes kept): pole, open bands, even-R equator
+    rows = [(0, 1)] + [(i, 2 * r) for i in range(1, (r + 1) // 2)]
     if r % 2 == 0:
-        idx.append(r * r + np.arange(r))
-    return sphere_grid(r)[np.concatenate(idx)]
+        rows.append((r // 2, r))
+    pts = np.empty((r * r - r + 1, 3))
+    lo = 0
+    for i, n in rows:
+        band = pts[lo:lo + n]
+        band[:, 0] = st[i] * cp[:n]
+        band[:, 1] = st[i] * sp[:n]
+        band[:, 2] = ct[i]
+        lo += n
+    return pts
 
 
 def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:

@@ -33,6 +33,10 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+# PAULI_PRODUCTS[i, j] = sigma_i x sigma_j with sigma_0 = I, a (4, 4, 4, 4) stack
+_SIGMA = np.concatenate([np.eye(2, dtype=complex)[None], PAULI])
+PAULI_PRODUCTS = np.einsum("iac,jbd->ijabcd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+PAULI_PRODUCTS.setflags(write=False)
 
 
 def _freeze(a):
@@ -204,36 +208,20 @@ def bell_state() -> BipartiteState:
 
 def from_bloch(b: TwoQubitBloch) -> BipartiteState:
     """Reconstruct the two-qubit state with local vectors (x, y) and tensor T."""
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += b.x[i] * np.kron(PAULI[i], np.eye(2))
-        rho += b.y[i] * np.kron(np.eye(2), PAULI[i])
-        for j in range(3):
-            rho += b.t[i, j] * np.kron(PAULI[i], PAULI[j])
-    return make_bipartite(rho / 4.0, 2, 2)
+    c = np.block([[np.ones((1, 1)), b.y[None]], [b.x[:, None], b.t]])
+    return make_bipartite(np.einsum("ij,ijab->ab", c, PAULI_PRODUCTS) / 4.0, 2, 2)
 
 
 def to_bloch(state: BipartiteState) -> TwoQubitBloch:
-    """Extract (x, y, T) from a (2, 2) state by Pauli traces."""
+    """Extract (x, y, T) from a (2, 2) state by the Pauli traces tr(rho sigma_i x sigma_j)."""
     if (state.dim_a, state.dim_b) != (2, 2):
         raise DimensionMismatchError("to_bloch requires dims (2, 2)")
-    rho = state.entries
-    x = np.empty(3)
-    y = np.empty(3)
-    t = np.empty((3, 3))
-    for i in range(3):
-        x[i] = _real_trace(rho @ np.kron(PAULI[i], np.eye(2)))
-        y[i] = _real_trace(rho @ np.kron(np.eye(2), PAULI[i]))
-        for j in range(3):
-            t[i, j] = _real_trace(rho @ np.kron(PAULI[i], PAULI[j]))
-    return TwoQubitBloch(x, y, t)
-
-
-def _real_trace(m) -> float:
-    tr = np.trace(m)
-    if abs(tr.imag) > BLOCH_RESIDUE_TOL:
-        raise NumericalResidueError(f"trace has imaginary residue {tr.imag:.3e}")
-    return float(tr.real)
+    c = np.einsum("ba,ijab->ij", state.entries, PAULI_PRODUCTS)
+    residue = np.abs(c.imag).max()
+    if residue > BLOCH_RESIDUE_TOL:
+        raise NumericalResidueError(f"trace has imaginary residue {residue:.3e}")
+    c = c.real
+    return TwoQubitBloch(c[1:, 0], c[0, 1:], c[1:, 1:])
 
 
 def classical_classical(p, basis_a, basis_b) -> BipartiteState:

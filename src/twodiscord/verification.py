@@ -3,10 +3,16 @@
 Every check returns a CheckResult so the same code backs the ``verify``
 command and the acceptance test suite. Randomized checks are deterministic
 given their seed.
+
+Each invariant is judged as a named margin, positive when it holds with
+room to spare, and a margin below minus its entry in ``TOLERANCES`` is a
+violation. The checks, ``audit_states`` and the ``compute`` report's
+``flagged`` all judge through that one table.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -50,6 +56,7 @@ from .optimize import (
 from .states import (
     BipartiteState,
     DensityMatrix,
+    TwoQubitBloch,
     _ginibre,
     bell_state,
     classical_classical,
@@ -205,233 +212,293 @@ def geo_two_sided_via_correlation(state: BipartiteState, cfg: OptimizerConfig) -
 
 
 # ---------------------------------------------------------------------------
+# the tolerance table and the margins it judges
+
+SWEEP_BUDGET_S = 60.0
+
+# name -> tolerance: a margin below minus its tolerance is a violation
+TOLERANCES = {
+    "loss-nonnegative": 1e-9,
+    "loss-components-nonnegative": 1e-9,
+    "loss-split-sums": 1e-9,
+    "dephasing-preserves-far-marginal": 1e-12,
+    "dephasing-idempotent": 1e-12,
+    "dephasing-purity-nonincreasing": 1e-12,
+    "objective-matches-dephased-purity": 1e-12,
+    "correlation-norm-is-purity": 1e-12,
+    "quadratic-completion": 1e-12,
+    "two-sided-above-lower-bound": 1e-8,
+    "one-sided-above-lower-bounds": 1e-8,
+    "two-sided-above-one-sided": 1e-6,
+    "entropic-nonnegative": 1e-6,
+    "entropic-below-mutual-information": 1e-6,
+    "entropic-two-sided-above-one-sided": 1e-6,
+    "local-unitary-invariance": 1e-6,
+    "werner-closed-form": 1e-6,
+    "werner-budget": 0.0,
+    "isotropic-closed-form": 1e-6,
+    "isotropic-zero": 1e-10,
+    "isotropic-budget": 0.0,
+    "bell-geometric": 1e-6,
+    "bell-entropic": 1e-4,
+    "special-zero-correlation": 1e-10,
+    "special-product": 1e-10,
+    "special-zero-marginal": 1e-6,
+    "zero-classical-geometric": 1e-8,
+    "zero-classical-entropic": 1e-6,
+    "zero-product-geometric": 1e-6,
+    "zero-product-entropic": 1e-6,
+    "oracle": 2e-4,
+}
+
+
+def violated(margins: dict) -> list:
+    """The names in ``margins`` whose margin is below minus its tolerance."""
+    return [name for name, margin in margins.items() if margin < -TOLERANCES[name]]
+
+
+def loss_margins(state: BipartiteState, m: ProductMeasurement) -> dict:
+    """The mutual information lost under the two-sided dephasing by ``m`` and
+    both components of its split are nonnegative; the components sum to it."""
+    loss = measured_loss_two_sided(state, m)
+    la, lb = loss_split(state, m)
+    return {
+        "loss-nonnegative": loss,
+        "loss-components-nonnegative": min(la, lb),
+        "loss-split-sums": -abs(la + lb - loss),
+    }
+
+
+def identity_margins(state: BipartiteState, m: ProductMeasurement) -> dict:
+    """The correlation-matrix objective equals the dephased purity and
+    tr(CC^t) equals the purity."""
+    cd = correlation_matrix(state)
+    a = measurement_matrix(m.basis_a, hermitian_operator_basis(state.dim_a))
+    b = measurement_matrix(m.basis_b, hermitian_operator_basis(state.dim_b))
+    return {
+        "objective-matches-dephased-purity":
+            -abs(objective27(cd, a, b) - dephased_purity(state, m)),
+        "correlation-norm-is-purity": -abs(float(np.sum(cd.c * cd.c)) - purity(state.rho)),
+    }
+
+
+def completion_margins(state: BipartiteState, m: ProductMeasurement, p) -> dict:
+    """tr[(rho - chi)^2] = purity - sum d^2 + sum (p - d)^2, where chi is the
+    classical-classical state with table ``p`` in the bases of ``m`` and d is
+    the table of rho dephased by ``m``."""
+    chi = classical_classical(p, m.basis_a, m.basis_b)
+    d = diagonal_distribution(state, m)
+    rhs = purity(state.rho) - float(np.sum(d * d)) + float(np.sum((p - d) ** 2))
+    return {"quadratic-completion": -abs(hs_distance_sq(state, chi) - rhs)}
+
+
+def geometric_margins(ab, da, db) -> dict:
+    """Each geometric value above its spectral lower bound, and the two-sided
+    value ``ab`` above both one-sided values ``da`` and ``db``."""
+    return {
+        "two-sided-above-lower-bound": ab.value - ab.lower_bound,
+        "two-sided-above-one-sided": ab.value - max(da.value, db.value),
+        "one-sided-above-lower-bounds":
+            min(da.value - da.lower_bound, db.value - db.lower_bound),
+    }
+
+
+def entropic_margins(mi: float, eab, ea, eb) -> dict:
+    """Each entropic value inside [0, mutual information ``mi``], and the
+    two-sided value ``eab`` above both one-sided values ``ea`` and ``eb``."""
+    values = (ea.value, eb.value, eab.value)
+    return {
+        "entropic-nonnegative": min(values),
+        "entropic-below-mutual-information": mi - max(values),
+        "entropic-two-sided-above-one-sided": eab.value - max(ea.value, eb.value),
+    }
+
+
+def hierarchy(state: BipartiteState, cfg: OptimizerConfig, two_sided, one_sided):
+    """``two_sided(state, cfg)``, then ``one_sided`` on sides A and B.
+
+    Each one-sided search is warm-started from the two-sided optimum's basis
+    on its side, so an unlucky restart draw cannot break two-sided >=
+    one-sided. Returns the three results, two-sided first.
+    """
+    ab = two_sided(state, cfg)
+    m = ab.optimal_measurement
+    da = one_sided(state, "A", cfg, extra_warm_starts=[m.basis_a])
+    db = one_sided(state, "B", cfg, extra_warm_starts=[m.basis_b])
+    return ab, da, db
+
+
+@dataclass
+class AuditReport:
+    """Counts, violations and worst margins of the margins recorded so far."""
+
+    n_states: int = 0
+    dims: tuple = ()
+    seed: int = 0
+    checks: int = 0
+    violations: list = field(default_factory=list)
+    worst_margins: dict = field(default_factory=dict)
+
+    def record(self, margins: dict, k: int):
+        """Judge the margins of sample ``k`` by ``TOLERANCES``."""
+        self.checks += len(margins)
+        for name, margin in margins.items():
+            self.worst_margins[name] = min(margin, self.worst_margins.get(name, np.inf))
+        self.violations += [f"state {k}: {name} margin {margins[name]:.3e}"
+                            for name in violated(margins)]
+
+    def check(self, name: str, t0) -> CheckResult:
+        """The verdict on what was recorded since ``t0 = _clock()``."""
+        dt, cpu = _since(t0)
+        worst = ", ".join(f"{n} {v:.2e} (tol {TOLERANCES[n]:g})"
+                          for n, v in self.worst_margins.items())
+        return CheckResult(
+            name, not self.violations,
+            f"{len(self.violations)} violations in {self.checks} checks; worst margins: {worst}",
+            dt, cpu,
+        )
+
+
+def _small(cfg: OptimizerConfig) -> OptimizerConfig:
+    return OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
+
+
+# ---------------------------------------------------------------------------
 # the nine acceptance checks
 
-def check_werner_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21,
-                       tol=1e-6, budget=60.0) -> CheckResult:
+def _closed_form_sweep(family: str, cfg: OptimizerConfig, ms, points) -> CheckResult:
     t0 = _clock()
-    worst = 0.0
-    for m in ms:
-        for x in np.linspace(-1.0, 1.0, points):
-            res = geo_discord_two_sided(werner(m, float(x)), cfg)
-            worst = max(worst, abs(res.value - werner_geo_closed(m, float(x))))
-    dt, cpu = _since(t0)
-    ok = worst <= tol and dt <= budget
-    return CheckResult(
-        "werner-closed-form", ok,
-        f"max|gap|={worst:.2e} (tol {tol:g}), {dt:.1f}s of {budget:g}s budget, m={list(ms)}",
-        dt, cpu,
-    )
+    rep = AuditReport()
+    make, closed, lo = {
+        "werner": (werner, werner_geo_closed, -1.0),
+        "isotropic": (isotropic, isotropic_geo_closed, 0.0),
+    }[family]
+    for k, (m, x) in enumerate(itertools.product(ms, np.linspace(lo, 1.0, points))):
+        x = float(x)
+        gap = geo_discord_two_sided(make(m, x), cfg).value - closed(m, x)
+        rep.record({f"{family}-closed-form": -abs(gap)}, k)
+    if family == "isotropic":
+        for m in ms:
+            rep.record({"isotropic-zero": -abs(isotropic_geo_closed(m, 1.0 / m**2))}, m)
+    rep.record({f"{family}-budget": SWEEP_BUDGET_S - _since(t0)[0]}, len(ms) * points)
+    return rep.check(f"{family}-closed-form", t0)
 
 
-def check_isotropic_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21,
-                          tol=1e-6, budget=60.0) -> CheckResult:
+def check_werner_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21) -> CheckResult:
+    return _closed_form_sweep("werner", cfg, ms, points)
+
+
+def check_isotropic_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21) -> CheckResult:
+    """Also checks that the closed form vanishes at x = 1/m^2."""
+    return _closed_form_sweep("isotropic", cfg, ms, points)
+
+
+def check_bell_routes(cfg: OptimizerConfig) -> CheckResult:
     t0 = _clock()
-    worst = 0.0
-    for m in ms:
-        for x in np.linspace(0.0, 1.0, points):
-            res = geo_discord_two_sided(isotropic(m, float(x)), cfg)
-            worst = max(worst, abs(res.value - isotropic_geo_closed(m, float(x))))
-    zero_at = max(abs(isotropic_geo_closed(m, 1.0 / m**2)) for m in ms)
-    dt, cpu = _since(t0)
-    ok = worst <= tol and zero_at <= 1e-10 and dt <= budget
-    return CheckResult(
-        "isotropic-closed-form", ok,
-        f"max|gap|={worst:.2e} (tol {tol:g}), closed form at x=1/m^2: {zero_at:.1e} "
-        f"(tol 1e-10), {dt:.1f}s of {budget:g}s budget",
-        dt, cpu,
-    )
-
-
-def check_bell_routes(cfg: OptimizerConfig, tol=1e-6, entropic_tol=1e-4) -> CheckResult:
-    t0 = _clock()
+    rep = AuditReport()
     bell = bell_state()
-    small = OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
-    routes = {
-        "dephased-purity": geo_discord_two_sided(bell, small).value,
-        "correlation-form": geo_two_sided_via_correlation(bell, small),
-        "bloch-alternating": two_qubit_geo(to_bloch(bell), small).value,
-    }
+    small = _small(cfg)
     b = to_bloch(bell)
     tt = b.t @ b.t.T
-    routes["zero-marginal-formula"] = 0.25 * (np.trace(tt) - np.linalg.eigvalsh(tt)[-1])
-    geo_gap = max(abs(v - 0.5) for v in routes.values())
+    routes = (
+        geo_discord_two_sided(bell, small).value,  # dephased purity
+        geo_two_sided_via_correlation(bell, small),
+        two_qubit_geo(b, small).value,  # Bloch alternation
+        0.25 * (np.trace(tt) - np.linalg.eigvalsh(tt)[-1]),  # zero-marginal formula
+    )
+    for k, value in enumerate(routes):
+        rep.record({"bell-geometric": -abs(value - 0.5)}, k)
     ent = discord_two_sided(bell, small).value
     oracle = entropic_oracle_two_qubit(bell, resolution=32)
-    ent_gap = max(abs(ent - 1.0), abs(ent - oracle))
-    dt, cpu = _since(t0)
-    ok = geo_gap <= tol and ent_gap <= entropic_tol
-    return CheckResult(
-        "bell-state-routes", ok,
-        f"geo max|route-0.5|={geo_gap:.2e} (tol {tol:g}); entropic={ent:.6f}, "
-        f"oracle={oracle:.6f}, max dev {ent_gap:.2e} (tol {entropic_tol:g})",
-        dt, cpu,
-    )
+    rep.record({"bell-entropic": -max(abs(ent - 1.0), abs(ent - oracle))}, 0)
+    return rep.check("bell-state-routes", t0)
 
 
-def check_bloch_special_cases(cfg: OptimizerConfig, n=20, seed=0,
-                              zero_tol=1e-10, match_tol=1e-6) -> CheckResult:
+def check_bloch_special_cases(cfg: OptimizerConfig, n=20, seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 41])
-    from .states import TwoQubitBloch
-
-    worst_zero_t = worst_product = worst_match = 0.0
-    for _ in range(n):
+    rep = AuditReport()
+    for k in range(n):
         x = rng.uniform(-0.4, 0.4, 3)
         y = rng.uniform(-0.4, 0.4, 3)
-        b = TwoQubitBloch(x, y, np.zeros((3, 3)))
-        worst_zero_t = max(worst_zero_t, abs(two_qubit_geo(b, cfg).value))
-    for _ in range(n):
+        value = two_qubit_geo(TwoQubitBloch(x, y, np.zeros((3, 3))), cfg).value
+        rep.record({"special-zero-correlation": -abs(value)}, k)
+    for k in range(n):
         st = random_product_state(rng, 2, 2)
-        worst_product = max(worst_product, abs(two_qubit_geo(to_bloch(st), cfg).value))
-    small = OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
-    for _ in range(n):
+        rep.record({"special-product": -abs(two_qubit_geo(to_bloch(st), cfg).value)}, k)
+    small = _small(cfg)
+    for k in range(n):
         st = random_zero_marginal_two_qubit(rng)
         closed = two_qubit_geo(to_bloch(st), small).value
         generic = geo_discord_two_sided(st, small).value
-        worst_match = max(worst_match, abs(closed - generic))
-    dt, cpu = _since(t0)
-    ok = worst_zero_t <= zero_tol and worst_product <= zero_tol and worst_match <= match_tol
-    return CheckResult(
-        "two-qubit-special-cases", ok,
-        f"T=0: {worst_zero_t:.1e}, product: {worst_product:.1e} (tol {zero_tol:g}); "
-        f"zero-marginal closed vs generic: {worst_match:.2e} (tol {match_tol:g})",
-        dt, cpu,
-    )
+        rep.record({"special-zero-marginal": -abs(closed - generic)}, k)
+    return rep.check("two-qubit-special-cases", t0)
 
 
-def check_loss_properties(n22=500, n23=200, seed=0, tol=1e-9) -> CheckResult:
+def check_loss_properties(n22=500, n23=200, seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 42])
-    worst_loss = worst_comp = np.inf
-    worst_sum = 0.0
-    for dims, count in (((2, 2), n22), ((2, 3), n23)):
-        for _ in range(count):
-            st = random_bipartite(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1] + 1)))
-            m = random_product_measurement(rng, *dims)
-            loss = measured_loss_two_sided(st, m)
-            la, lb = loss_split(st, m)
-            worst_loss = min(worst_loss, loss)
-            worst_comp = min(worst_comp, la, lb)
-            worst_sum = max(worst_sum, abs(la + lb - loss))
-    dt, cpu = _since(t0)
-    ok = worst_loss >= -tol and worst_comp >= -tol and worst_sum <= tol
-    return CheckResult(
-        "loss-nonnegativity-split", ok,
-        f"min loss={worst_loss:.2e}, min component={worst_comp:.2e} (>= -{tol:g}), "
-        f"max |split sum - loss|={worst_sum:.2e} (tol {tol:g}), {n22}+{n23} states",
-        dt, cpu,
-    )
+    rep = AuditReport()
+    for k, (na, nb) in enumerate([(2, 2)] * n22 + [(2, 3)] * n23):
+        st = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
+        rep.record(loss_margins(st, random_product_measurement(rng, na, nb)), k)
+    return rep.check("loss-nonnegativity-split", t0)
 
 
-def check_zero_sets(cfg: OptimizerConfig, n=50, seed=0,
-                    geo_tol=1e-8, ent_tol=1e-6) -> CheckResult:
+def check_zero_sets(cfg: OptimizerConfig, n=50, seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 43])
-    small = OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
-    worst_cc_geo = worst_cc_ent = worst_pr_geo = worst_pr_ent = 0.0
-    for _ in range(n):
-        st = random_classical_classical(rng, 2, 2)
-        worst_cc_geo = max(worst_cc_geo, geo_discord_two_sided(st, small).value)
-        worst_cc_ent = max(worst_cc_ent, discord_two_sided(st, small).value)
-    for _ in range(n):
-        st = random_product_state(rng, 2, 2)
-        worst_pr_geo = max(worst_pr_geo, geo_discord_two_sided(st, small).value)
-        worst_pr_ent = max(worst_pr_ent, discord_two_sided(st, small).value)
-    dt, cpu = _since(t0)
-    ok = (worst_cc_geo <= geo_tol and worst_cc_ent <= ent_tol
-          and worst_pr_geo <= ent_tol and worst_pr_ent <= ent_tol)
-    return CheckResult(
-        "zero-sets", ok,
-        f"classical-classical: geo {worst_cc_geo:.1e} (tol {geo_tol:g}), "
-        f"entropic {worst_cc_ent:.1e} (tol {ent_tol:g}); "
-        f"product: geo {worst_pr_geo:.1e}, entropic {worst_pr_ent:.1e} (tol {ent_tol:g})",
-        dt, cpu,
-    )
+    small = _small(cfg)
+    rep = AuditReport()
+    for kind, draw in (("classical", random_classical_classical),
+                       ("product", random_product_state)):
+        for k in range(n):
+            st = draw(rng, 2, 2)
+            rep.record({f"zero-{kind}-geometric": -geo_discord_two_sided(st, small).value,
+                        f"zero-{kind}-entropic": -discord_two_sided(st, small).value}, k)
+    return rep.check("zero-sets", t0)
 
 
-def check_bounds_hierarchy(cfg: OptimizerConfig, n=200, seed=0,
-                           lb_tol=1e-8, chain_tol=1e-6) -> CheckResult:
+def check_bounds_hierarchy(cfg: OptimizerConfig, n=200, seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 44])
-    small = OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
-    viol = 0
-    worst_lb = worst_chain = worst_side = np.inf
-    for _ in range(n):
+    small = _small(cfg)
+    rep = AuditReport()
+    for k in range(n):
         st = random_bipartite(rng, 2, 2, rank=int(rng.integers(1, 5)))
-        ab = geo_discord_two_sided(st, small)
-        da = geo_discord_one_sided(st, "A", small,
-                                   extra_warm_starts=[ab.optimal_measurement.basis_a])
-        db = geo_discord_one_sided(st, "B", small,
-                                   extra_warm_starts=[ab.optimal_measurement.basis_b])
-        worst_lb = min(worst_lb, ab.value - ab.lower_bound)
-        worst_chain = min(worst_chain, ab.value - max(da.value, db.value))
-        worst_side = min(worst_side, da.value - da.lower_bound, db.value - db.lower_bound)
-        if (ab.value < ab.lower_bound - lb_tol
-                or ab.value < max(da.value, db.value) - chain_tol
-                or da.value < da.lower_bound - lb_tol
-                or db.value < db.lower_bound - lb_tol):
-            viol += 1
-    dt, cpu = _since(t0)
-    return CheckResult(
-        "bounds-hierarchy", viol == 0,
-        f"{viol} violations on {n} states; min margins: two-sided bound {worst_lb:.2e} "
-        f"(>= -{lb_tol:g}), vs one-sided {worst_chain:.2e} (>= -{chain_tol:g}), "
-        f"one-sided bounds {worst_side:.2e} (>= -{lb_tol:g})",
-        dt, cpu,
-    )
+        results = hierarchy(st, small, geo_discord_two_sided, geo_discord_one_sided)
+        rep.record(geometric_margins(*results), k)
+    return rep.check("bounds-hierarchy", t0)
 
 
-def check_identities(n=500, n_completion=200, seed=0, tol=1e-12) -> CheckResult:
+def check_identities(n=500, n_completion=200, seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 45])
-    worst_obj = worst_pur = worst_comp = 0.0
+    rep = AuditReport()
     for k in range(n):
         na, nb = (2, 2) if k % 2 == 0 else (2, 3)
         st = random_bipartite(rng, na, nb)
-        cd = correlation_matrix(st)
-        m = random_product_measurement(rng, na, nb)
-        a = measurement_matrix(m.basis_a, hermitian_operator_basis(na))
-        b = measurement_matrix(m.basis_b, hermitian_operator_basis(nb))
-        worst_obj = max(worst_obj, abs(objective27(cd, a, b) - dephased_purity(st, m)))
-        worst_pur = max(worst_pur, abs(np.sum(cd.c * cd.c) - purity(st.rho)))
+        rep.record(identity_margins(st, random_product_measurement(rng, na, nb)), k)
     for k in range(n_completion):
         na, nb = (2, 2) if k % 2 == 0 else (2, 3)
         st = random_bipartite(rng, na, nb)
         m = random_product_measurement(rng, na, nb)
         p = rng.dirichlet(np.ones(na * nb)).reshape(na, nb)
-        chi = classical_classical(p, m.basis_a, m.basis_b)
-        d = diagonal_distribution(st, m)
-        lhs = hs_distance_sq(st, chi)
-        rhs = purity(st.rho) - np.sum(d * d) + np.sum((p - d) ** 2)
-        worst_comp = max(worst_comp, abs(lhs - rhs))
-    dt, cpu = _since(t0)
-    ok = worst_obj <= tol and worst_pur <= tol and worst_comp <= tol
-    return CheckResult(
-        "correlation-identities", ok,
-        f"|objective - dephased purity|={worst_obj:.1e}, |tr(CC^t) - purity|={worst_pur:.1e}, "
-        f"|completion identity|={worst_comp:.1e} (tol {tol:g})",
-        dt, cpu,
-    )
+        rep.record(completion_margins(st, m, p), k)
+    return rep.check("correlation-identities", t0)
 
 
 def check_oracle_certification(cfg: OptimizerConfig, n=50, resolution=400,
-                               seed=0, tol=2e-4) -> CheckResult:
+                               seed=0) -> CheckResult:
     t0 = _clock()
     rng = np.random.default_rng([seed, 46])
-    small = OptimizerConfig(restarts=min(cfg.restarts, 16), seed=cfg.seed)
-    worst = 0.0
-    for _ in range(n):
+    small = _small(cfg)
+    rep = AuditReport()
+    for k in range(n):
         b = to_bloch(random_bipartite(rng, 2, 2))
         _, _, alt = alternating_sphere_max(b, small)
-        grid = sphere_grid_oracle(b, resolution)
-        worst = max(worst, abs(alt - grid))
-    dt, cpu = _since(t0)
-    return CheckResult(
-        "oracle-certification", worst <= tol,
-        f"max|alternating - grid(res {resolution})|={worst:.2e} (tol {tol:g}), {n} states",
-        dt, cpu,
-    )
+        rep.record({"oracle": -abs(alt - sphere_grid_oracle(b, resolution))}, k)
+    return rep.check("oracle-certification", t0)
 
 
 def run_verify(quick=False, seed=0, restarts=64) -> list[CheckResult]:
@@ -458,24 +525,6 @@ def run_verify(quick=False, seed=0, restarts=64) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # randomized invariant audit
 
-@dataclass
-class AuditReport:
-    n_states: int
-    dims: tuple
-    seed: int
-    checks: int = 0
-    violations: list = field(default_factory=list)
-    worst_margins: dict = field(default_factory=dict)
-
-    def record(self, name: str, margin: float, tol: float, state_index: int):
-        self.checks += 1
-        prev = self.worst_margins.get(name)
-        if prev is None or margin < prev:
-            self.worst_margins[name] = margin
-        if margin < -tol:
-            self.violations.append(f"state {state_index}: {name} margin {margin:.3e}")
-
-
 def audit_states(n_states: int, seed: int, dims=(2, 2),
                  cfg: OptimizerConfig = None) -> AuditReport:
     """Sample random states and exercise every cheap invariant plus the
@@ -495,60 +544,26 @@ def audit_states(n_states: int, seed: int, dims=(2, 2),
     for k in range(n_states):
         st = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
         m = random_product_measurement(rng, na, nb)
-
-        loss = measured_loss_two_sided(st, m)
-        la, lb = loss_split(st, m)
-        rep.record("loss-nonnegative", loss, 1e-9, k)
-        rep.record("loss-components-nonnegative", min(la, lb), 1e-9, k)
-        rep.record("loss-split-sums", -abs(la + lb - loss), 1e-9, k)
+        rep.record(loss_margins(st, m), k)
 
         mid = dephase_one_sided(st, m.basis_a, "A")
-        rep.record(
-            "dephasing-preserves-far-marginal",
-            -float(np.abs(partial_trace(mid, "B").entries
-                          - partial_trace(st, "B").entries).max()),
-            1e-12, k,
-        )
         twice = dephase_one_sided(mid, m.basis_a, "A")
-        rep.record(
-            "dephasing-idempotent",
-            -float(np.abs(twice.entries - mid.entries).max()), 1e-12, k,
-        )
-        rep.record("dephasing-purity-nonincreasing",
-                   purity(st.rho) - dephased_purity(st, m), 1e-12, k)
-
-        cd = correlation_matrix(st)
-        a = measurement_matrix(m.basis_a, hermitian_operator_basis(na))
-        b = measurement_matrix(m.basis_b, hermitian_operator_basis(nb))
-        rep.record("objective-matches-dephased-purity",
-                   -abs(objective27(cd, a, b) - dephased_purity(st, m)), 1e-12, k)
-        rep.record("correlation-norm-is-purity",
-                   -abs(float(np.sum(cd.c * cd.c)) - purity(st.rho)), 1e-12, k)
-
+        far = partial_trace(mid, "B").entries - partial_trace(st, "B").entries
+        rep.record({
+            "dephasing-preserves-far-marginal": -float(np.abs(far).max()),
+            "dephasing-idempotent": -float(np.abs(twice.entries - mid.entries).max()),
+            "dephasing-purity-nonincreasing": purity(st.rho) - dephased_purity(st, m),
+        }, k)
+        rep.record(identity_margins(st, m), k)
         p = rng.dirichlet(np.ones(na * nb)).reshape(na, nb)
-        chi = classical_classical(p, m.basis_a, m.basis_b)
-        d = diagonal_distribution(st, m)
-        rep.record(
-            "quadratic-completion",
-            -abs(hs_distance_sq(st, chi)
-                 - (purity(st.rho) - float(np.sum(d * d)) + float(np.sum((p - d) ** 2)))),
-            1e-12, k,
-        )
+        rep.record(completion_margins(st, m, p), k)
 
-        ab = geo_discord_two_sided(st, cfg)
-        da = geo_discord_one_sided(st, "A", cfg,
-                                   extra_warm_starts=[ab.optimal_measurement.basis_a])
-        db = geo_discord_one_sided(st, "B", cfg,
-                                   extra_warm_starts=[ab.optimal_measurement.basis_b])
-        rep.record("two-sided-above-lower-bound", ab.value - ab.lower_bound, 1e-8, k)
-        rep.record("two-sided-above-one-sided",
-                   ab.value - max(da.value, db.value), 1e-6, k)
-        rep.record("one-sided-above-lower-bounds",
-                   min(da.value - da.lower_bound, db.value - db.lower_bound), 1e-8, k)
+        ab, da, db = hierarchy(st, cfg, geo_discord_two_sided, geo_discord_one_sided)
+        rep.record(geometric_margins(ab, da, db), k)
 
         lu = np.random.default_rng([seed, 48, k])
         w = np.kron(haar_unitary(lu, na), haar_unitary(lu, nb))
         moved = make_bipartite(w @ st.entries @ w.conj().T, na, nb)
-        rep.record("local-unitary-invariance",
-                   -abs(ab.value - geo_discord_two_sided(moved, cfg).value), 1e-6, k)
+        lu_gap = abs(ab.value - geo_discord_two_sided(moved, cfg).value)
+        rep.record({"local-unitary-invariance": -lu_gap}, k)
     return rep

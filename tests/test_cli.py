@@ -6,6 +6,7 @@ import pytest
 
 import twodiscord as td
 from twodiscord import cli
+from twodiscord import verification
 from twodiscord.cli import SweepSpec, main
 from twodiscord.serialize import save_state
 
@@ -102,6 +103,22 @@ class TestCompute:
         rec = json.loads(capsys.readouterr().out)
         assert rec["entropic_two_sided"] > rec["mutual_information"]
         assert rec["flagged"] is True
+
+    @pytest.mark.parametrize("name", ["two-sided-above-lower-bound",
+                                      "two-sided-above-one-sided",
+                                      "one-sided-above-lower-bounds"])
+    def test_geometric_margin_flags(self, bell_file, monkeypatch, capsys, name):
+        monkeypatch.setitem(verification.TOLERANCES, name, -np.inf)
+        assert main(["compute", bell_file, *FAST]) == 3
+        assert capsys.readouterr().out.strip().endswith(",true")
+
+    @pytest.mark.parametrize("name", ["entropic-nonnegative",
+                                      "entropic-below-mutual-information",
+                                      "entropic-two-sided-above-one-sided"])
+    def test_entropic_margin_flags_only_with_entropic(self, bell_file, monkeypatch, name):
+        monkeypatch.setitem(verification.TOLERANCES, name, -np.inf)
+        assert main(["compute", bell_file, "--format", "json", *FAST]) == 0
+        assert main(["compute", bell_file, "--entropic", "--format", "json", *FAST]) == 3
 
     def test_linalg_error_exits_2(self, bell_file, monkeypatch, capsys):
         def failing(*args, **kwargs):

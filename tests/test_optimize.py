@@ -102,32 +102,6 @@ class TestHaarUnitary:
                 assert np.array_equal(points[q][r], haar_unitary(rng, n))
 
 
-class TestMaximizeOverProductBases:
-    def test_bell_dephased_purity(self):
-        bell = td.bell_state()
-
-        def objective(m):
-            return td.dephased_purity(bell, m)
-
-        res = td.maximize_over_product_bases(objective, (2, 2),
-                                             OptimizerConfig(restarts=6, seed=0))
-        assert res.best_value == pytest.approx(0.5, abs=1e-8)
-
-    def test_werner3_matches_closed_form(self):
-        w = td.werner(3, 1.0)
-
-        def objective(m):
-            return td.dephased_purity(w, m)
-
-        identity = td.ProductMeasurement(td.computational_basis(3), td.computational_basis(3))
-        res = td.maximize_over_product_bases(
-            objective, (3, 3), OptimizerConfig(restarts=4, seed=0),
-            warm_starts=[identity],
-        )
-        want = td.purity(w.rho) - td.werner_geo_closed(3, 1.0)
-        assert res.best_value == pytest.approx(want, abs=1e-6)
-
-
 class TestGivensPolls:
     DIMS = (3, 2)
 
@@ -368,6 +342,16 @@ class TestProjectiveGrid:
         )
         np.fill_diagonal(same, np.inf)
         assert same.min() > 1e-6
+
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 33, 400])
+    def test_equals_selected_sphere_grid_rows(self, resolution):
+        # pole, the latitudes 0 < 2i < R, and for even R half the equator
+        r = resolution
+        lat = np.arange(1, (r + 1) // 2)
+        idx = [np.zeros(1, dtype=int), (lat[:, None] * 2 * r + np.arange(2 * r)).ravel()]
+        if r % 2 == 0:
+            idx.append(r * r + np.arange(r))
+        assert np.array_equal(projective_grid(r), sphere_grid(r)[np.concatenate(idx)])
 
     @pytest.mark.parametrize("resolution", [0, -3, 4, 7])
     def test_rejects_small_resolution(self, resolution):

@@ -214,6 +214,23 @@ class TestBloch:
         for i in range(3):
             np.testing.assert_allclose(PAULI[i] @ PAULI[i], np.eye(2), atol=0)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pauli_stack_matches_kron_reference(self, seed):
+        st = td.random_state(2, 2, rank=seed % 4 + 1, seed=seed)
+        rho, eye = st.entries, np.eye(2)
+        x, y, t = np.empty(3), np.empty(3), np.empty((3, 3))
+        back = np.eye(4, dtype=complex)
+        b = td.to_bloch(st)
+        for i in range(3):
+            x[i] = np.trace(rho @ np.kron(PAULI[i], eye)).real
+            y[i] = np.trace(rho @ np.kron(eye, PAULI[i])).real
+            back += b.x[i] * np.kron(PAULI[i], eye) + b.y[i] * np.kron(eye, PAULI[i])
+            for j in range(3):
+                t[i, j] = np.trace(rho @ np.kron(PAULI[i], PAULI[j])).real
+                back += b.t[i, j] * np.kron(PAULI[i], PAULI[j])
+        for got, want in ((b.x, x), (b.y, y), (b.t, t), (td.from_bloch(b).entries, back / 4)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
 
 class TestClassicalClassical:
     def test_uniform_is_maximally_mixed(self):

@@ -1,0 +1,94 @@
+"""The tolerance table: every named margin is wired into the checks that judge it."""
+
+import numpy as np
+import pytest
+
+from twodiscord import OptimizerConfig
+from twodiscord import verification as V
+
+CFG = OptimizerConfig(restarts=4, seed=0)
+
+# each acceptance check on a small sample, with the margin names it records
+CHECKS = {
+    "werner": (lambda: V.check_werner_sweep(CFG, ms=(2,), points=2),
+               ["werner-closed-form", "werner-budget"]),
+    "isotropic": (lambda: V.check_isotropic_sweep(CFG, ms=(2,), points=2),
+                  ["isotropic-closed-form", "isotropic-zero", "isotropic-budget"]),
+    "bell": (lambda: V.check_bell_routes(CFG), ["bell-geometric", "bell-entropic"]),
+    "special": (lambda: V.check_bloch_special_cases(CFG, n=1),
+                ["special-zero-correlation", "special-product", "special-zero-marginal"]),
+    "loss": (lambda: V.check_loss_properties(n22=1, n23=1),
+             ["loss-nonnegative", "loss-components-nonnegative", "loss-split-sums"]),
+    "zero": (lambda: V.check_zero_sets(CFG, n=1),
+             ["zero-classical-geometric", "zero-classical-entropic",
+              "zero-product-geometric", "zero-product-entropic"]),
+    "bounds": (lambda: V.check_bounds_hierarchy(CFG, n=1),
+               ["two-sided-above-lower-bound", "two-sided-above-one-sided",
+                "one-sided-above-lower-bounds"]),
+    "identities": (lambda: V.check_identities(n=1, n_completion=1),
+                   ["objective-matches-dephased-purity", "correlation-norm-is-purity",
+                    "quadratic-completion"]),
+    "oracle": (lambda: V.check_oracle_certification(CFG, n=1, resolution=200), ["oracle"]),
+}
+
+AUDIT_NAMES = [
+    "loss-nonnegative", "loss-components-nonnegative", "loss-split-sums",
+    "dephasing-preserves-far-marginal", "dephasing-idempotent",
+    "dephasing-purity-nonincreasing", "objective-matches-dephased-purity",
+    "correlation-norm-is-purity", "quadratic-completion", "two-sided-above-lower-bound",
+    "two-sided-above-one-sided", "one-sided-above-lower-bounds", "local-unitary-invariance",
+]
+
+# judged only by the compute report's flag (tests/test_cli.py)
+ENTROPIC_NAMES = [
+    "entropic-nonnegative", "entropic-below-mutual-information",
+    "entropic-two-sided-above-one-sided",
+]
+
+
+def test_every_tolerance_is_judged_somewhere():
+    named = {n for _, names in CHECKS.values() for n in names}
+    assert named | set(AUDIT_NAMES) | set(ENTROPIC_NAMES) == set(V.TOLERANCES)
+
+
+@pytest.mark.parametrize("key", CHECKS)
+def test_small_check_passes(key):
+    run, names = CHECKS[key]
+    res = run()
+    assert res.passed, res.line()
+    for name in names:
+        assert f"{name} " in res.detail
+
+
+@pytest.mark.parametrize(
+    "key,name", [(key, name) for key, (_, names) in CHECKS.items() for name in names]
+)
+def test_each_margin_name_can_fail_its_check(monkeypatch, key, name):
+    monkeypatch.setitem(V.TOLERANCES, name, -np.inf)
+    res = CHECKS[key][0]()
+    assert not res.passed, res.line()
+
+
+@pytest.mark.parametrize("name", AUDIT_NAMES)
+def test_each_audit_name_can_raise_a_violation(monkeypatch, name):
+    monkeypatch.setitem(V.TOLERANCES, name, -np.inf)
+    rep = V.audit_states(1, seed=0, cfg=CFG)
+    assert rep.violations == [f"state 0: {name} margin {rep.worst_margins[name]:.3e}"]
+
+
+def test_violation_is_strictly_below_minus_tolerance():
+    tol = V.TOLERANCES["two-sided-above-lower-bound"]
+    assert V.violated({"two-sided-above-lower-bound": -tol}) == []
+    assert V.violated({"two-sided-above-lower-bound": -2 * tol}) == ["two-sided-above-lower-bound"]
+    assert V.violated({"werner-budget": 0.0}) == []
+    assert V.violated({"werner-budget": -1e-3}) == ["werner-budget"]
+
+
+def test_audit_record_keeps_worst_margin_and_counts():
+    rep = V.AuditReport()
+    rep.record({"oracle": -1e-5, "loss-nonnegative": 0.3}, 0)
+    rep.record({"oracle": -3e-4}, 1)
+    rep.record({"oracle": -2e-5}, 2)
+    assert rep.checks == 4
+    assert rep.worst_margins == {"oracle": -3e-4, "loss-nonnegative": 0.3}
+    assert rep.violations == ["state 1: oracle margin -3.000e-04"]
