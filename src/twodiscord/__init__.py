@@ -11,7 +11,6 @@ from .errors import (
     NotPositiveSemidefiniteError,
     NotUnitVectorError,
     NumericalResidueError,
-    OptimizerFailureError,
     StateFormatError,
 )
 from .states import (

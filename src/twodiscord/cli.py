@@ -72,9 +72,7 @@ def _fmt(v) -> str:
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts, seed=args.seed, value_tolerance=args.tol
-    )
+    return OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _write(args, text: str):
@@ -185,8 +183,6 @@ def cmd_audit(args) -> int:
 def _add_common(p):
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="optimizer value tolerance")
 
 
 def make_parser() -> argparse.ArgumentParser:

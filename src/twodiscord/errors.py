@@ -33,10 +33,6 @@ class NumericalResidueError(DiscordError):
     """An imaginary residue too large to be round-off; likely misuse."""
 
 
-class OptimizerFailureError(DiscordError):
-    """No optimizer restart completed."""
-
-
 class DomainError(DiscordError, ValueError):
     """A parameter outside its documented domain."""
 

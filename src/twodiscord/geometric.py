@@ -26,18 +26,16 @@ from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     _alternating_detail,
-    _unit,
     bloch_pair_objective,
     compass_search,
     maximize_over_bases,
     warm_start_bases,
 )
-from .states import BipartiteState, purity
+from .states import BipartiteState, from_bloch, purity
 
 GRAM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 RESIDUE_TOL = 1e-10
-SPECIAL_CASE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +295,16 @@ def two_qubit_geo_objective(b, a, bv) -> float:
 def two_qubit_geo(b, cfg: OptimizerConfig) -> GeoResult:
     """Two-sided geometric discord of a two-qubit state from its Bloch data.
 
-    Exact-structure special cases (T = 0; zero marginals; T = x y^t) take
-    closed forms; otherwise the alternating eigen-iteration runs multistart.
+    Every state runs the multistart alternating eigen-iteration. Its starts
+    include the top right singular vector of T, so it reaches the exact
+    structures T = 0, T = x y^t and x = y = 0 at its first step.
     """
-    from .states import from_bloch  # PSD check happens here
-
-    state = from_bloch(b)
-    x, y, t = b.x, b.y, b.t
-    total = 0.25 * (x @ x + y @ y + np.sum(t * t))
-
-    a_opt = bv_opt = None
-    value = None
-    if np.linalg.norm(t) <= SPECIAL_CASE_TOL:
-        value = 0.0
-        a_opt, bv_opt = _unit(x), _unit(y)
-    elif np.linalg.norm(t - np.outer(x, y)) <= SPECIAL_CASE_TOL:
-        value = 0.0
-        a_opt, bv_opt = _unit(x), _unit(y)
-    elif np.linalg.norm(x) <= SPECIAL_CASE_TOL and np.linalg.norm(y) <= SPECIAL_CASE_TOL:
-        u, s, vt = np.linalg.svd(t)
-        value = 0.25 * (np.sum(t * t) - s[0] ** 2)
-        a_opt, bv_opt = u[:, 0], vt[0]
-
-    if value is not None:
-        report = OptimizationResult(
-            best_value=4.0 * (total - value),
-            best_params=np.concatenate([a_opt, bv_opt]),
-            restarts_run=0,
-            iterations_total=0,
-            converged=True,
-        )
-    else:
-        a_opt, bv_opt, best, report = _alternating_detail(b, cfg)
-        value = total - 0.25 * best
-
+    state = from_bloch(b)  # PSD check happens here
+    total = 0.25 * (b.x @ b.x + b.y @ b.y + np.sum(b.t * b.t))
+    a_opt, bv_opt, best, report = _alternating_detail(b, cfg)
     cd = correlation_matrix(state)
     return GeoResult(
-        value=float(value),
+        value=float(total - 0.25 * best),
         optimal_measurement=ProductMeasurement(bloch_basis(a_opt), bloch_basis(bv_opt)),
         lower_bound=lower_bound_two_sided(cd),
         optimizer_report=report,

@@ -20,26 +20,26 @@ from .measurement import _haar_from_ginibre, bloch_basis
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace, to_bloch
 
 _INITIAL_STEP = 0.25
+# a start stops at the iteration cap, when an accepted rise falls below the value
+# tolerance or, in the compass search, when its step falls below the step tolerance
+_MAX_ITERATIONS = 500
+_STEP_TOLERANCE = 1e-10
+_VALUE_TOLERANCE = 1e-12
 # restarts trailing the incumbent best by less than this are retired early;
-# the retained leader still refines down to the configured tolerances
+# the retained leader still refines down to the tolerances above
 _RETIRE_LAG = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """How many random restarts a search adds to its warm starts, and their seed."""
+
     restarts: int = 64
-    max_iterations: int = 500
-    step_tolerance: float = 1e-10
-    value_tolerance: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise DomainError("tolerances must be > 0")
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,11 @@ class _CandidatePolls:
         return np.asarray(self.batch_eval(*cand), dtype=float).reshape(len(steps), -1)
 
 
+def _winner(values) -> int:
+    """The first start whose value is within the value tolerance of the best."""
+    return int(np.nonzero(values >= values.max() - _VALUE_TOLERANCE)[0][0])
+
+
 def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side."""
     draws = []
@@ -225,9 +230,10 @@ def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> Optimi
     ``_givens_planes``), so candidates need no matrix exponential. Each
     restart accepts its best polled candidate (the lowest direction index on
     ties) by rotating its own two columns, shrinks its step on failure, and
-    stops when an accepted improvement falls below the value tolerance or
-    the step falls below the step tolerance. ``best_params`` of the result
-    is the winning tuple of unitaries.
+    stops when an accepted improvement falls below ``_VALUE_TOLERANCE``, the
+    step falls below ``_STEP_TOLERANCE`` or it has polled ``_MAX_ITERATIONS``
+    rounds. The winner is ``_winner``'s start, and ``best_params`` of the
+    result is its tuple of unitaries.
     """
     points = _start_points(dims, cfg, list(warm_starts))
     planes = _givens_planes(dims)
@@ -251,28 +257,26 @@ def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> Optimi
         values[up] = best_v[acc]
         _rotate_accepted(points, up, best_j[acc], steps[up], planes)
         steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
-        small = idx[acc & (imp < cfg.value_tolerance)]
+        small = idx[acc & (imp < _VALUE_TOLERANCE)]
         converged[small] = True
         active[small] = False
         down = idx[~acc]
         steps[down] *= 0.5
-        stuck = down[steps[down] < cfg.step_tolerance]
+        stuck = down[steps[down] < _STEP_TOLERANCE]
         converged[stuck] = True
         active[stuck] = False
-        active[idx[iters[idx] >= cfg.max_iterations]] = False
+        active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
         # retire restarts that have caught up with the incumbent maximum; the
         # lowest-index one among them keeps refining, the rest can only tie it
         vmax = values.max()
-        margin = max(cfg.value_tolerance, _RETIRE_LAG)
-        caught = np.nonzero(active & (values >= vmax - margin))[0]
+        caught = np.nonzero(active & (values >= vmax - _RETIRE_LAG))[0]
         if len(caught):
-            keep = int(np.nonzero(values >= vmax - margin)[0][0])
+            keep = int(np.nonzero(values >= vmax - _RETIRE_LAG)[0][0])
             drop = caught[caught != keep]
             converged[drop] = True
             active[drop] = False
 
-    vmax = values.max()
-    best = int(np.nonzero(values >= vmax - cfg.value_tolerance)[0][0])
+    best = _winner(values)
     return OptimizationResult(
         best_value=float(values[best]),
         best_params=tuple(p[best].copy() for p in points),
@@ -318,9 +322,9 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
     The starts are e_1, e_2, e_3, the top right singular vector of T, y/|y|
     (when y != 0) and ``cfg.restarts`` Gaussian directions from
     ``default_rng([cfg.seed, r])``. Each start stops once its value rises by
-    less than the value tolerance, or at the iteration cap; each half-step is
-    one batched eigh over the starts still running. The winner is the first
-    start within the value tolerance of the best value.
+    less than ``_VALUE_TOLERANCE``, or after ``_MAX_ITERATIONS`` steps; each
+    half-step is one batched eigh over the starts still running. The winner
+    is ``_winner``'s start.
     """
     x, y, t = b.x, b.y, b.t
     _, _, vt = np.linalg.svd(t)
@@ -340,7 +344,7 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
     converged = np.zeros(total, dtype=bool)
     iters = np.zeros(total, dtype=int)
     xx, yy = np.outer(x, x), np.outer(y, y)
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         idx = np.nonzero(active)[0]
         if not len(idx):
             break
@@ -351,13 +355,12 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
         bv[idx] = _top_unit_eigvecs(yy + w2[:, :, None] * w2[:, None, :])
         new = (a[idx] @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
         old = values[idx]
-        done = new - old < cfg.value_tolerance
+        done = new - old < _VALUE_TOLERANCE
         values[idx] = np.where(done, np.maximum(old, new), new)
         converged[idx[done]] = True
         active[idx[done]] = False
 
-    vmax = values.max()
-    best = int(np.nonzero(values >= vmax - cfg.value_tolerance)[0][0])
+    best = _winner(values)
     report = OptimizationResult(
         best_value=float(values[best]),
         best_params=np.concatenate([a[best], bv[best]]),

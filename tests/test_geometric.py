@@ -230,6 +230,17 @@ class TestTwoQubitGeo:
             generic = td.geo_discord_two_sided(st, CFG).value
             assert closed == pytest.approx(generic, abs=1e-6)
 
+    @pytest.mark.parametrize("b", [
+        td.TwoQubitBloch(np.array([0.2, 0.0, 0.1]), np.array([0.0, 0.3, 0.0]), np.zeros((3, 3))),
+        td.TwoQubitBloch(np.array([0.0, 0.0, 0.6]), np.array([0.0, 0.0, 0.8]),
+                         np.outer([0.0, 0.0, 0.6], [0.0, 0.0, 0.8])),
+        td.to_bloch(random_zero_marginal_two_qubit(np.random.default_rng(10))),
+        td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0])),
+        td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.zeros((3, 3))),
+    ], ids=["zero-tensor", "product", "zero-marginal", "bell", "maximally-mixed"])
+    def test_every_state_runs_the_alternation(self, b):
+        assert td.two_qubit_geo(b, CFG).optimizer_report.restarts_run > 0
+
     def test_objective_values(self):
         b = td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]))
         e3 = np.array([0.0, 0.0, 1.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twodiscord import OptimizerConfig
+from twodiscord import OptimizerConfig, geometric
 from twodiscord import verification as V
 
 CFG = OptimizerConfig(restarts=4, seed=0)
@@ -49,6 +49,20 @@ ENTROPIC_NAMES = [
 def test_every_tolerance_is_judged_somewhere():
     named = {n for _, names in CHECKS.values() for n in names}
     assert named | set(AUDIT_NAMES) | set(ENTROPIC_NAMES) == set(V.TOLERANCES)
+
+
+def test_two_qubit_checks_judge_the_alternation(monkeypatch):
+    # both checks compare two_qubit_geo with the paper's closed forms, so an
+    # alternation that misses its maximum by 0.01 must fail them
+    alternate = geometric._alternating_detail
+
+    def off(b, cfg):
+        a, bv, value, report = alternate(b, cfg)
+        return a, bv, value + 0.01, report
+
+    monkeypatch.setattr(geometric, "_alternating_detail", off)
+    assert not V.check_bloch_special_cases(CFG, n=5).passed
+    assert not V.check_bell_routes(CFG).passed
 
 
 @pytest.mark.parametrize("key", CHECKS)
