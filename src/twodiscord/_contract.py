@@ -1,11 +1,12 @@
-"""Batched contractions and poll scorers shared by the entropic and geometric
-objectives.
+"""Batched contractions and the poll scorer of the entropic searches.
 
-The state is a (na, nb, na, nb) tensor throughout. ``side_blocks_batch`` takes
-a stack of candidate basis unitaries, so a one-sided poll is one call.
-``TablePolls`` scores two-sided polls without building candidate unitaries:
-a Givens poll on side A moves only two rows of the dephased table (on side
-B, two columns), and those rows follow in closed form from the state in the
+The state is a (na, nb, na, nb) tensor throughout. ``rotated_states`` writes
+it in a stack of product bases, as the geometric Jacobi sweeps and
+``TablePolls`` need. ``side_blocks_batch`` takes a stack of candidate basis
+unitaries, so a one-sided poll is one call. ``TablePolls`` scores the
+two-sided entropic polls without building candidate unitaries: a Givens poll
+on side A moves only two rows of the dephased table (on side B, two
+columns), and those rows follow in closed form from the state in the
 current bases.
 """
 
@@ -38,6 +39,15 @@ def side_blocks_batch(r: np.ndarray, u: np.ndarray, side: str) -> np.ndarray:
     return (w @ rm).reshape(n, nb, na, na)
 
 
+def rotated_states(r: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """(U_A x U_B)^dag rho (U_A x U_B) for each pair of an (N, na, na) and an
+    (N, nb, nb) stack of unitaries, as an (N, na, nb, na, nb) stack."""
+    na, nb = r.shape[0], r.shape[1]
+    n, d = ua.shape[0], na * nb
+    w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(n, d, d)
+    return (w.conj().transpose(0, 2, 1) @ r.reshape(d, d) @ w).reshape(n, na, nb, na, nb)
+
+
 def _plane_rows(p, g, cos, sin, j, k, mult_j, mult_k):
     """Tables after a Givens rotation of rows j and k, one per direction.
 
@@ -60,7 +70,7 @@ def _plane_rows(p, g, cos, sin, j, k, mult_j, mult_k):
 
 
 class TablePolls:
-    """Scores two-sided Givens polls by two-row updates of the dephased table.
+    """Scores two-sided entropic Givens polls by two-row updates of the dephased table.
 
     ``score`` maps an (N, na, nb) stack of tables p[alpha, beta] =
     <alpha beta|rho|alpha beta>, negatives clipped to 0, to N values. Per
@@ -71,18 +81,12 @@ class TablePolls:
     """
 
     def __init__(self, r: np.ndarray, score):
+        self.r = r
         self.na, self.nb = r.shape[0], r.shape[1]
-        d = self.na * self.nb
-        self.rho = r.reshape(d, d)
         self.score = score
 
-    def _rotated(self, ua, ub):
-        n, na, nb = ua.shape[0], self.na, self.nb
-        w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(n, na * nb, na * nb)
-        return (w.conj().transpose(0, 2, 1) @ self.rho @ w).reshape(n, na, nb, na, nb)
-
     def values(self, points):
-        p = np.einsum("rabab->rab", self._rotated(*points)).real
+        p = np.einsum("rabab->rab", rotated_states(self.r, *points)).real
         return self.score(np.maximum(p, 0.0))
 
     def tables(self, points, steps, planes):
@@ -90,7 +94,7 @@ class TablePolls:
         side, j, k, mult_j, mult_k, sign = planes
         ang = steps[:, None] * sign[None, :]
         cos, sin = np.cos(ang), np.sin(ang)
-        rt = self._rotated(*points)
+        rt = rotated_states(self.r, *points)
         p = np.einsum("rabab->rab", rt).real
         out = np.empty((len(steps), len(sign), self.na, self.nb))
         on_a, on_b = side == 0, side == 1

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import TablePolls, side_blocks_batch
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -27,8 +26,7 @@ from .optimize import (
     OptimizerConfig,
     _alternating_detail,
     bloch_pair_objective,
-    compass_search,
-    maximize_over_bases,
+    jacobi_search,
     warm_start_bases,
 )
 from .states import BipartiteState, from_bloch, purity
@@ -238,12 +236,11 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> GeoRes
     A heuristic upper estimate of the true infimum; the returned lower bound
     brackets it from below. No inner optimization over the classical
     probabilities is needed: for fixed bases the closest classical state is
-    the dephased state itself (quadratic completion).
+    the dephased state itself (quadratic completion). The bases come from
+    the exact Jacobi sweeps of ``jacobi_search``.
     """
-    res = compass_search(
-        TablePolls(state.reshaped(), _retained_purity), (state.dim_a, state.dim_b), cfg,
-        warm_start_bases(state, cfg, ("A", "B")),
-    )
+    res = jacobi_search(state.reshaped(), ("A", "B"), cfg,
+                        warm_start_bases(state, cfg, ("A", "B")))
     pur = purity(state.rho)
     ua, ub = res.best_params
     cd = correlation_matrix(state)
@@ -257,22 +254,17 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> GeoRes
 
 def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
                           extra_warm_starts=()) -> GeoResult:
-    """purity(state) minus the best found one-sided dephased purity."""
+    """purity(state) minus the best found one-sided dephased purity.
+
+    The basis comes from the exact Jacobi sweeps of ``jacobi_search``; on a
+    measured qubit the first step already reaches the global optimum.
+    """
     _check_side(side)
-    n = state.dim_a if side == "A" else state.dim_b
-    r = state.reshaped()
-    pur = purity(state.rho)
-
-    def batch(u):
-        blocks = side_blocks_batch(r, u, side)
-        return np.sum(np.abs(blocks) ** 2, axis=(1, 2, 3))
-
-    res = maximize_over_bases(
-        batch, (n,), cfg, warm_start_bases(state, cfg, (side,), extra_warm_starts)
-    )
+    res = jacobi_search(state.reshaped(), (side,), cfg,
+                        warm_start_bases(state, cfg, (side,), extra_warm_starts))
     cd = correlation_matrix(state)
     return GeoResult(
-        value=pur - res.best_value,
+        value=purity(state.rho) - res.best_value,
         optimal_measurement=_basis_unchecked(res.best_params[0]),
         lower_bound=lower_bound_one_sided(cd, side),
         optimizer_report=res,

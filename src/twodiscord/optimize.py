@@ -1,12 +1,20 @@
 """Search over measurement bases.
 
-The search engine is a deterministic multistart compass (pattern) search run
-in lockstep across restarts so candidate batches can be evaluated vectorized.
-It iterates the measurement unitaries themselves, polls with closed-form
-Givens rotations and seeds its random restarts with Haar unitaries. A scorer
-values each round's polls: the two-sided searches use the table updates of
-``_contract.TablePolls``, every other objective goes through
-``maximize_over_bases``, which builds each candidate's unitaries.
+Every search iterates the measurement unitaries themselves, runs its
+restarts in lockstep so each step is one batched computation, and seeds its
+random restarts with Haar unitaries. Two engines share the starts, the
+retire rule and the winner rule:
+
+- ``jacobi_search`` maximizes the retained purity of the geometric discords
+  by exact Jacobi sweeps: in one Givens plane the purity is a quadratic form
+  on the sphere, so each step takes the best rotation of its plane from one
+  3x3 eigenproblem.
+- ``compass_search`` is a compass (pattern) search that polls closed-form
+  Givens rotations; it serves the entropic objectives and verification's
+  independent correlation-matrix route. A scorer values each round's polls:
+  the two-sided entropic search uses the table updates of
+  ``_contract.TablePolls``, every other objective goes through
+  ``maximize_over_bases``, which builds each candidate's unitaries.
 """
 
 from __future__ import annotations
@@ -15,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contract import rotated_states
 from .errors import DomainError
 from .measurement import _haar_from_ginibre, bloch_basis
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace, to_bloch
 
 _INITIAL_STEP = 0.25
-# a start stops at the iteration cap, when an accepted rise falls below the value
-# tolerance or, in the compass search, when its step falls below the step tolerance
+# a start stops at the iteration cap (compass rounds, Jacobi sweeps or alternation
+# steps), when an accepted rise falls below the value tolerance or, in the compass
+# search, when its step falls below the step tolerance
 _MAX_ITERATIONS = 500
 _STEP_TOLERANCE = 1e-10
 _VALUE_TOLERANCE = 1e-12
@@ -208,6 +218,21 @@ def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     return points
 
 
+def _retire(values, active, converged):
+    """Retire the active starts that have caught up with the incumbent maximum.
+
+    The lowest-index start within ``_RETIRE_LAG`` of the maximum keeps
+    refining; the rest can only tie it.
+    """
+    near = values >= values.max() - _RETIRE_LAG
+    caught = np.nonzero(active & near)[0]
+    if len(caught):
+        keep = int(np.nonzero(near)[0][0])
+        drop = caught[caught != keep]
+        converged[drop] = True
+        active[drop] = False
+
+
 def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
     """Maximize an objective over measurement bases, one per side.
 
@@ -232,8 +257,9 @@ def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> Optimi
     ties) by rotating its own two columns, shrinks its step on failure, and
     stops when an accepted improvement falls below ``_VALUE_TOLERANCE``, the
     step falls below ``_STEP_TOLERANCE`` or it has polled ``_MAX_ITERATIONS``
-    rounds. The winner is ``_winner``'s start, and ``best_params`` of the
-    result is its tuple of unitaries.
+    rounds. After each round ``_retire`` retires the starts that have caught
+    up with the best. The winner is ``_winner``'s start, and ``best_params``
+    of the result is its tuple of unitaries.
     """
     points = _start_points(dims, cfg, list(warm_starts))
     planes = _givens_planes(dims)
@@ -266,15 +292,7 @@ def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> Optimi
         converged[stuck] = True
         active[stuck] = False
         active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
-        # retire restarts that have caught up with the incumbent maximum; the
-        # lowest-index one among them keeps refining, the rest can only tie it
-        vmax = values.max()
-        caught = np.nonzero(active & (values >= vmax - _RETIRE_LAG))[0]
-        if len(caught):
-            keep = int(np.nonzero(values >= vmax - _RETIRE_LAG)[0][0])
-            drop = caught[caught != keep]
-            converged[drop] = True
-            active[drop] = False
+        _retire(values, active, converged)
 
     best = _winner(values)
     return OptimizationResult(
@@ -294,6 +312,142 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
     per side to N objective values; every polled candidate is built.
     """
     return compass_search(_CandidatePolls(batch_eval), dims, cfg, warm_starts)
+
+
+# ---------------------------------------------------------------------------
+# exact Jacobi sweeps for the geometric objectives
+
+def _round_robin(n):
+    """Rounds of disjoint planes (j, k), j < k, that cover each plane of an
+    n-dimensional side once: n - 1 rounds for even n, n for odd n (the
+    circle method). Each round is a pair of index arrays (j, k)."""
+    seats = list(range(n)) + ([-1] if n % 2 else [])  # -1 sits a round out
+    half = len(seats) // 2
+    rounds = []
+    for _ in range(len(seats) - 1):
+        pairs = sorted((min(a, b), max(a, b)) for a, b in zip(seats[:half], reversed(seats[half:]))
+                       if min(a, b) >= 0)
+        rounds.append(tuple(np.array(v) for v in zip(*pairs)))
+        seats = seats[:1] + seats[-1:] + seats[1:-1]
+    return rounds
+
+
+def _measured_first(rt, side):
+    """An (R, na, nb, na, nb) stack of states with the measured side on axes 1 and 3."""
+    return rt if side == "A" else rt.transpose(0, 2, 1, 4, 3)
+
+
+def _retained_purities(rt, sides):
+    """The retained purity of each state in an (R, na, nb, na, nb) stack.
+
+    Two sides: the sum of squares of the dephased table. One side: the sum
+    of squared moduli of the blocks <o|rho|o> of the measured side.
+    """
+    if len(sides) == 2:
+        p = np.einsum("rabab->rab", rt).real
+        return np.sum(p * p, axis=(1, 2))
+    blocks = np.einsum("rabac->rabc", _measured_first(rt, sides[0]))
+    return np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=(1, 2, 3))
+
+
+def _jacobi_gram(view, j, k, two_sided):
+    """The (R, P, 3, 3) Gram matrix of each restart and each plane (j[p], k[p]).
+
+    ``view`` is the (R, n, m, n, m) stack of states in the current bases,
+    measured side first (``_measured_first``). Rotating basis vectors j and
+    k by (theta, phi) (see ``_jacobi_rotations``) changes the retained
+    purity by 2 (v^t G v - G_00), with v = (cos 2theta, sin 2theta cos phi,
+    sin 2theta sin phi). Each block H = rho~[:, beta, :, gamma] gives
+    g = ((H_jj - H_kk)/2, (H_jk + H_kj)/2, i (H_jk - H_kj)/2) and
+    G = Re sum g g^H, over beta = gamma for the two-sided purity and over
+    every (beta, gamma) for the one-sided one.
+    """
+    def entry(a, b):
+        e = view[:, a, :, b, :]  # advanced indices first: (P, R, m, m)
+        return np.diagonal(e, axis1=2, axis2=3) if two_sided else e.reshape(*e.shape[:2], -1)
+
+    hjj, hkk, hjk, hkj = entry(j, j), entry(k, k), entry(j, k), entry(k, j)
+    g = np.stack([0.5 * (hjj - hkk), 0.5 * (hjk + hkj), 0.5j * (hjk - hkj)])
+    return np.einsum("aprk,bprk->rpab", g, g.conj()).real
+
+
+def _jacobi_rotations(gram):
+    """cos theta, sin theta and e^{i phi} of the best rotation of each plane.
+
+    v is the top eigenvector of the Gram matrix, signed so that v_0 >= 0;
+    theta = arccos(v_0) / 2 and phi = atan2(v_2, v_1). The rotation takes
+    basis vector j to c u_j + e^{i phi} s u_k and k to
+    -e^{-i phi} s u_j + c u_k (``_rotate_columns`` with mult_j = e^{i phi},
+    mult_k = -e^{-i phi}).
+    """
+    v = np.linalg.eigh(gram)[1][..., -1]
+    v = np.where(v[..., :1] < 0, -v, v)
+    theta = 0.5 * np.arccos(np.clip(v[..., 0], -1.0, 1.0))
+    return np.cos(theta), np.sin(theta), np.exp(1j * np.arctan2(v[..., 2], v[..., 1]))
+
+
+def _jacobi_step(u, view, j, k, two_sided):
+    """Rotate basis vectors j[p], k[p] of each (R, n, n) basis in ``u`` by the best
+    rotation of their plane, in place; ``view`` is as for ``_jacobi_gram``."""
+    c, s, ph = (x[:, None] for x in _jacobi_rotations(_jacobi_gram(view, j, k, two_sided)))
+    u[:, :, j], u[:, :, k] = _rotate_columns(u[:, :, j], u[:, :, k], c, s, ph, -ph.conj())
+
+
+def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
+    """Maximize the retained purity over the bases of the measured ``sides``.
+
+    ``r`` is the (na, nb, na, nb) state; ``sides`` is ("A", "B") for the
+    two-sided dephased purity, ("A",) or ("B",) for the one-sided one (see
+    ``_retained_purities``). The starts are those of ``compass_search``.
+
+    Each step rotates every running start's state into its current bases
+    and applies the best rotation of a plane (``_jacobi_step``), so no step
+    lowers the purity. Disjoint planes of one side move disjoint basis
+    vectors, so a step handles a whole ``_round_robin`` round at once. A
+    sweep visits every plane of each measured side once. A start stops when a sweep
+    raises its purity by less than ``_VALUE_TOLERANCE`` or after
+    ``_MAX_ITERATIONS`` sweeps; after each sweep ``_retire`` retires the
+    starts that have caught up with the best. ``iterations_total`` counts
+    sweeps. The winner is ``_winner``'s start, and ``best_params`` of the
+    result is its tuple of unitaries.
+    """
+    size = {"A": r.shape[0], "B": r.shape[1]}
+    points = _start_points(tuple(size[s] for s in sides), cfg, list(warm_starts))
+    total = len(points[0])
+    bases = {s: np.broadcast_to(np.eye(n, dtype=complex), (total, n, n)) for s, n in size.items()}
+    bases.update(zip(sides, points))
+    rounds = [(s, j, k) for s in sides for j, k in _round_robin(size[s])]
+
+    values = _retained_purities(rotated_states(r, bases["A"], bases["B"]), sides)
+    active = np.ones(total, dtype=bool)
+    converged = np.zeros(total, dtype=bool)
+    iters = np.zeros(total, dtype=int)
+
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        cur = {s: b[idx] for s, b in bases.items()}
+        for s, j, k in rounds:
+            view = _measured_first(rotated_states(r, cur["A"], cur["B"]), s)
+            _jacobi_step(cur[s], view, j, k, len(sides) == 2)
+        for s in sides:
+            bases[s][idx] = cur[s]
+        new = _retained_purities(rotated_states(r, cur["A"], cur["B"]), sides)
+        iters[idx] += 1
+        small = idx[new - values[idx] < _VALUE_TOLERANCE]
+        values[idx] = new
+        converged[small] = True
+        active[small] = False
+        active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
+        _retire(values, active, converged)
+
+    best = _winner(values)
+    return OptimizationResult(
+        best_value=float(values[best]),
+        best_params=tuple(bases[s][best].copy() for s in sides),
+        restarts_run=total,
+        iterations_total=int(iters.sum()),
+        converged=bool(converged[best]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -543,8 +543,8 @@ def audit_states(n_states: int, seed: int, dims=(2, 2),
     state k, so the sampled states and measurements do not depend on it.
     """
     na, nb = dims
-    if na * nb > 9:
-        raise DomainError("audit dims are capped at 9-dimensional joint spaces")
+    if na * nb > 16:
+        raise DomainError("audit dims are capped at 16-dimensional joint spaces (4x4, 2x8)")
     rng = np.random.default_rng([seed, 47])
     cfg = cfg or OptimizerConfig(restarts=16, seed=seed)
     rep = AuditReport(n_states=n_states, dims=tuple(dims), seed=seed)

@@ -192,3 +192,11 @@ class TestAudit:
     def test_bad_dims(self, capsys):
         assert main(["audit", "--states", "1", "--dims", "two"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_largest_dims_clean(self, capsys):
+        assert main(["audit", "--dims", "4x4", "--states", "2"]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_dims_above_cap(self, capsys):
+        assert main(["audit", "--states", "1", "--dims", "3x6"]) == 2
+        assert capsys.readouterr().err.startswith("error: audit dims are capped at 16")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord.geometric import measurement_matrix
 from twodiscord.verification import (
+    TOLERANCES,
     random_basis,
     random_bipartite,
     random_classical_classical,
@@ -204,6 +207,50 @@ class TestGeoDiscord:
         res = td.geo_discord_two_sided(st, CFG)
         assert res.value >= res.lower_bound - 1e-8
         assert res.value <= td.purity(st.rho) + 1e-12
+
+
+def _qubit_side_closed_form(state, side):
+    """tr(CC^t) - (CC^t)_00 - lambda_max((CC^t)[1:, 1:]), with C oriented so that
+    its rows belong to the measured qubit side: the one-sided geometric discord
+    on a measured qubit (Luo & Fu, PRA 82, 034302 (2010))."""
+    c = td.correlation_matrix(state).c
+    g = c @ c.T if side == "A" else c.T @ c
+    return float(np.trace(g) - g[0, 0] - np.linalg.eigvalsh(g[1:, 1:])[-1])
+
+
+class TestQubitSideClosedForm:
+    """On a measured qubit one Jacobi step reaches the global optimum, so the
+    one-sided search meets the closed form."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B")]))
+    @settings(max_examples=20, deadline=None)
+    def test_one_sided_meets_closed_form(self, seed, case):
+        (na, nb), side = case
+        rng = np.random.default_rng(seed)
+        state = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
+        got = td.geo_discord_one_sided(state, side, CFG).value
+        assert got == pytest.approx(_qubit_side_closed_form(state, side), abs=1e-10)
+
+    def test_bell(self):
+        assert _qubit_side_closed_form(td.bell_state(), "A") == pytest.approx(0.5, abs=1e-15)
+        for side in ("A", "B"):
+            assert td.geo_discord_one_sided(td.bell_state(), side, CFG).value == pytest.approx(
+                0.5, abs=1e-10)
+
+
+class TestLargerClosedFormSweeps:
+    """The Jacobi sweeps reach the closed forms beyond the acceptance table's m <= 4."""
+
+    POINTS = {"werner": (-1.0, 0.3, 0.9), "isotropic": (0.0, 0.5, 1.0)}
+
+    @pytest.mark.parametrize("m", [5, 6, 8])
+    @pytest.mark.parametrize("family", ["werner", "isotropic"])
+    def test_matches_closed_form(self, family, m):
+        make, closed = getattr(td, family), getattr(td, f"{family}_geo_closed")
+        for x in self.POINTS[family]:
+            gap = td.geo_discord_two_sided(make(m, x), OptimizerConfig()).value - closed(m, x)
+            assert abs(gap) <= TOLERANCES[f"{family}-closed-form"]
 
 
 class TestTwoQubitGeo:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,14 +9,28 @@ from hypothesis import strategies as st
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord import optimize
-from twodiscord._contract import TablePolls, shannon_bits
+from twodiscord import geometric
+from twodiscord._contract import (
+    TablePolls,
+    _plane_rows,
+    rotated_states,
+    shannon_bits,
+    side_blocks_batch,
+)
 from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _givens_planes,
     _givens_poll,
     _alternating_detail,
+    _jacobi_gram,
+    _jacobi_rotations,
+    _jacobi_step,
+    _measured_first,
+    _round_robin,
     _start_points,
     bloch_pair_objective,
+    compass_search,
+    jacobi_search,
     maximize_over_bases,
     projective_grid,
     sphere_grid,
@@ -137,6 +153,7 @@ class TestGivensPolls:
             np.testing.assert_allclose(cand[q][d], want, atol=1e-14)
 
     def test_two_sided_search_deterministic_given_seed(self):
+        # the two-sided and both one-sided geometric searches repeat bit for bit
         st = td.random_state(3, 3, rank=9, seed=12)
         cfg = OptimizerConfig(restarts=8, seed=5)
         r1 = td.geo_discord_two_sided(st, cfg)
@@ -145,6 +162,17 @@ class TestGivensPolls:
         for side in ("basis_a", "basis_b"):
             assert np.array_equal(getattr(r1.optimal_measurement, side).vectors,
                                   getattr(r2.optimal_measurement, side).vectors)
+        pairs = [(r1, r2)]
+        for side in ("A", "B"):
+            o1 = td.geo_discord_one_sided(st, side, cfg)
+            o2 = td.geo_discord_one_sided(st, side, cfg)
+            assert o1.value == o2.value
+            assert np.array_equal(o1.optimal_measurement.vectors, o2.optimal_measurement.vectors)
+            pairs.append((o1, o2))
+        for a, b in pairs:
+            rep1, rep2 = a.optimizer_report, b.optimizer_report
+            assert (rep1.restarts_run, rep1.iterations_total) == (rep2.restarts_run,
+                                                                  rep2.iterations_total)
 
 
 def _full_contraction_tables(r, ua, ub):
@@ -195,6 +223,105 @@ class TestTablePolls:
         ent = maximize_over_bases(information_batch, (2, 3), cfg, warm)
         want = td.mutual_information(state) - ent.best_value
         assert td.discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
+
+
+def _one_sided_purity(r, u, side):
+    """Sum of squared moduli of the measured side's blocks for each basis in u."""
+    return np.sum(np.abs(side_blocks_batch(r, u, side)) ** 2, axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_round_robin_covers_each_plane_once_in_disjoint_rounds(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    planes = [(int(a), int(b)) for j, k in rounds for a, b in zip(j, k, strict=True)]
+    assert sorted(planes) == list(itertools.combinations(range(n), 2))
+    for j, k in rounds:
+        assert len(j) == n // 2 and len(set(j) | set(k)) == 2 * len(j)
+
+
+class TestJacobiStep:
+    """A Jacobi step takes the best rotation of its plane, in closed form: the
+    purity after it is the base value plus 2 (lambda_max(G) - G_00), and no
+    compass poll in the same plane scores higher."""
+
+    RESTARTS = 3
+
+    def _setup(self, dims):
+        rng = np.random.default_rng([29, *dims])
+        state = random_bipartite(rng, *dims)
+        points = [np.array([haar_unitary(rng, n) for _ in range(self.RESTARTS)]) for n in dims]
+        return state.reshaped(), points
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_two_sided_step_is_exact_and_beats_polls(self, dims):
+        r, points = self._setup(dims)
+        scorer = TablePolls(r, geometric._retained_purity)
+        base = scorer.values(points)
+        rt = rotated_states(r, *points)
+        p = np.einsum("rabab->rab", rt).real
+        planes = _givens_planes(dims)
+        polls = {step: scorer.poll(points, np.full(self.RESTARTS, step), planes)
+                 for step in (0.25, 1e-3)}
+        for q, side in enumerate("AB"):
+            # the table and blocks with the measured side first, as TablePolls.tables takes them
+            pq, g = ((p, np.einsum("rabcb->racb", rt)) if side == "A"
+                     else (p.transpose(0, 2, 1), np.einsum("rabad->rbda", rt)))
+            for j, k in itertools.combinations(range(dims[q]), 2):
+                jj, kk = np.array([j]), np.array([k])
+                gram = _jacobi_gram(_measured_first(rt, side), jj, kk, True)[:, 0]
+                want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
+                c, s, ph = (x[:, 0] for x in _jacobi_rotations(gram[:, None]))
+                for i in range(self.RESTARTS):
+                    rows = _plane_rows(pq[i:i + 1], g[i:i + 1], c[i:i + 1, None],
+                                       s[i:i + 1, None], jj, kk, ph[i:i + 1], -ph[i:i + 1].conj())
+                    assert np.sum(rows ** 2) == pytest.approx(want[i], abs=1e-13)
+                moved = [u.copy() for u in points]
+                _jacobi_step(moved[q], _measured_first(rt, side), jj, kk, True)
+                np.testing.assert_allclose(scorer.values(moved), want, rtol=0, atol=1e-13)
+                in_plane = (planes[0] == q) & (planes[1] == j) & (planes[2] == k)
+                assert in_plane.sum() == 4
+                for vals in polls.values():
+                    assert np.all(vals[:, in_plane].max(axis=1) <= want + 1e-13)
+
+    @pytest.mark.parametrize("dims,side", [((2, 3), "A"), ((2, 3), "B"), ((3, 2), "A"),
+                                           ((3, 3), "A"), ((3, 3), "B")])
+    def test_one_sided_step_is_exact_and_beats_polls(self, dims, side):
+        r, points = self._setup(dims)
+        q = "AB".index(side)
+        u, n, m = points[q], dims[q], dims[1 - q]
+        eye = np.broadcast_to(np.eye(m, dtype=complex), (self.RESTARTS, m, m))
+        rt = rotated_states(r, *((u, eye) if side == "A" else (eye, u)))
+        base = _one_sided_purity(r, u, side)
+        planes = _givens_planes((n,))
+        cands = {step: _givens_poll([u], np.full(self.RESTARTS, step), planes)[0]
+                 for step in (0.25, 1e-3)}
+        for j, k in itertools.combinations(range(n), 2):
+            jj, kk = np.array([j]), np.array([k])
+            gram = _jacobi_gram(_measured_first(rt, side), jj, kk, False)[:, 0]
+            want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
+            moved = u.copy()
+            _jacobi_step(moved, _measured_first(rt, side), jj, kk, False)
+            np.testing.assert_allclose(_one_sided_purity(r, moved, side), want, rtol=0, atol=1e-13)
+            in_plane = (planes[1] == j) & (planes[2] == k)
+            for cand in cands.values():
+                vals = _one_sided_purity(r, cand, side).reshape(self.RESTARTS, -1)
+                assert np.all(vals[:, in_plane].max(axis=1) <= want + 1e-13)
+
+
+class TestJacobiAgainstCompass:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_never_above_compass_reference(self, dims):
+        # the Jacobi discord never exceeds the compass search's from the same
+        # starts; the compass scores the same purity through TablePolls
+        for seed in range({(2, 2): 16, (2, 3): 14, (3, 3): 10}[dims]):
+            state = random_bipartite(np.random.default_rng([31, seed, *dims]), *dims)
+            r = state.reshaped()
+            cfg = OptimizerConfig(restarts=16, seed=seed)
+            warm = warm_start_bases(state, cfg, ("A", "B"))
+            jac = jacobi_search(r, ("A", "B"), cfg, warm)
+            ref = compass_search(TablePolls(r, geometric._retained_purity), dims, cfg, warm)
+            assert jac.best_value >= ref.best_value - 1e-10
 
 
 class TestLocalUnitaryInvariance:
