@@ -102,7 +102,7 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
         return s_marg - s_joint  # maximize the negated conditional-entropy gap
 
     res = maximize_over_bases(
-        batch, (n,), cfg, warm_start_bases(state, cfg, (side,), extra_warm_starts)
+        batch, (n,), cfg, warm_start_bases(state, (side,), extra_warm_starts)
     )
     value = entropy(partial_trace(state, side)) - entropy(state.rho) - res.best_value
     basis = _basis_unchecked(res.best_params[0])
@@ -113,7 +113,7 @@ def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordVal
     """Mutual information minus the best found retained mutual information."""
     res = compass_search(
         TablePolls(state.reshaped(), _retained_information), (state.dim_a, state.dim_b), cfg,
-        warm_start_bases(state, cfg, ("A", "B")),
+        warm_start_bases(state, ("A", "B")),
     )
     ua, ub = res.best_params
     value = mutual_information(state) - res.best_value

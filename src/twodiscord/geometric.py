@@ -240,7 +240,7 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> GeoRes
     the exact Jacobi sweeps of ``jacobi_search``.
     """
     res = jacobi_search(state.reshaped(), ("A", "B"), cfg,
-                        warm_start_bases(state, cfg, ("A", "B")))
+                        warm_start_bases(state, ("A", "B")))
     pur = purity(state.rho)
     ua, ub = res.best_params
     cd = correlation_matrix(state)
@@ -261,7 +261,7 @@ def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig
     """
     _check_side(side)
     res = jacobi_search(state.reshaped(), (side,), cfg,
-                        warm_start_bases(state, cfg, (side,), extra_warm_starts))
+                        warm_start_bases(state, (side,), extra_warm_starts))
     cd = correlation_matrix(state)
     return GeoResult(
         value=purity(state.rho) - res.best_value,

@@ -1,9 +1,11 @@
 """Search over measurement bases.
 
-Every search iterates the measurement unitaries themselves, runs its
-restarts in lockstep so each step is one batched computation, and seeds its
-random restarts with Haar unitaries. Two engines share the starts, the
-retire rule and the winner rule:
+Every search iterates the measurement unitaries themselves and runs its
+starts in lockstep, so each step is one batched computation. The starts
+are the warm starts of ``warm_start_bases``, the same in every dimension,
+then Haar random restarts (``_start_points``). ``_lockstep`` runs the
+starts of both engines and holds the iteration cap, the retire rule and
+the winner rule; each engine supplies only its step:
 
 - ``jacobi_search`` maximizes the retained purity of the geometric discords
   by exact Jacobi sweeps: in one Givens plane the purity is a quadratic form
@@ -15,6 +17,10 @@ retire rule and the winner rule:
   the two-sided entropic search uses the table updates of
   ``_contract.TablePolls``, every other objective goes through
   ``maximize_over_bases``, which builds each candidate's unitaries.
+
+The two-qubit alternation on the Bloch objective keeps its own loop: its
+starts are Bloch vectors, it never retires, and it shares only the winner
+rule.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from ._contract import rotated_states
 from .errors import DomainError
-from .measurement import _haar_from_ginibre, bloch_basis
-from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace, to_bloch
+from .measurement import _haar_from_ginibre
+from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
 
 _INITIAL_STEP = 0.25
 # a start stops at the iteration cap (compass rounds, Jacobi sweeps or alternation
@@ -50,6 +56,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,42 +79,102 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 # warm starts
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else np.array([0.0, 0.0, 1.0])
-
-
-def warm_start_bases(state: BipartiteState, cfg: OptimizerConfig, sides,
-                     extra=()) -> list:
+def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
     """Starting points, as tuples of unitaries, for a search measuring ``sides``.
 
-    In order: the computational bases; the eigenbases of the measured
-    marginals; for two qubits the Bloch basis of the best direction (the
-    alternating solution when both sides are measured, the top eigenvector of
-    x x^t + T T^t, or y y^t + T^t T for side B, when one is); then the
-    OrthonormalBases in ``extra``, for a one-sided search.
+    In order, for every dimension: the computational bases, the eigenbases
+    of the measured marginals, then the OrthonormalBases in ``extra``, for a
+    one-sided search.
     """
     dims = {"A": state.dim_a, "B": state.dim_b}
-    starts = [tuple(np.eye(dims[s], dtype=complex) for s in sides)]
-    starts.append(tuple(np.linalg.eigh(partial_trace(state, s).entries)[1] for s in sides))
-    if (state.dim_a, state.dim_b) == (2, 2):
-        b = to_bloch(state)
-        if len(sides) == 2:
-            a, bv, _, _ = _alternating_detail(b, OptimizerConfig(restarts=8, seed=cfg.seed))
-            vecs = (a, bv)
-        else:
-            if sides[0] == "A":
-                m = np.outer(b.x, b.x) + b.t @ b.t.T
-            else:
-                m = np.outer(b.y, b.y) + b.t.T @ b.t
-            vecs = (_unit(np.linalg.eigh(m)[1][:, -1]),)
-        starts.append(tuple(bloch_basis(v).vectors for v in vecs))
-    starts += [(basis.vectors,) for basis in extra]
-    return starts
+    return [tuple(np.eye(dims[s], dtype=complex) for s in sides),
+            tuple(np.linalg.eigh(partial_trace(state, s).entries)[1] for s in sides),
+            *((basis.vectors,) for basis in extra)]
 
 
 # ---------------------------------------------------------------------------
-# multistart compass search over unitaries
+# the lockstep loop over starts, shared by both basis-search engines
+
+def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
+    """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side.
+
+    The warm starts (tuples of unitaries) come first, then ``cfg.restarts``
+    random starts: restart r starts at one Haar unitary per side, drawn in
+    side order from ``default_rng([cfg.seed, r])``, so its start does not
+    depend on ``cfg.restarts``.
+    """
+    if min(dims) < 2:
+        raise DomainError(f"a measured side must have dimension >= 2, got {min(dims)}")
+    draws = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
+    points = []
+    for q, n in enumerate(dims):
+        warm = np.array([np.asarray(w[q], dtype=complex) for w in warm_starts])
+        rand = _haar_from_ginibre(np.array([d[q] for d in draws]))
+        points.append(np.concatenate([warm.reshape(-1, n, n), rand]))
+    return points
+
+
+def _winner(values) -> int:
+    """The first start whose value is within the value tolerance of the best."""
+    return int(np.nonzero(values >= values.max() - _VALUE_TOLERANCE)[0][0])
+
+
+def _retire(values, active, converged):
+    """Retire the active starts that have caught up with the incumbent maximum.
+
+    The lowest-index start within ``_RETIRE_LAG`` of the maximum keeps
+    refining; the rest can only tie it.
+    """
+    near = values >= values.max() - _RETIRE_LAG
+    caught = np.nonzero(active & near)[0]
+    if len(caught):
+        keep = int(np.nonzero(near)[0][0])
+        drop = caught[caught != keep]
+        converged[drop] = True
+        active[drop] = False
+
+
+def _lockstep(points, values, advance) -> OptimizationResult:
+    """Run the starts of a basis search in lockstep and report the winner.
+
+    ``points`` holds one (S, n, n) stack of start unitaries per measured side
+    (``_start_points``) and ``values`` the S objective values at the starts.
+    ``advance(idx)`` moves the running starts ``idx`` one iteration, updating
+    ``points`` and ``values`` at ``idx`` in place, and returns a boolean mask
+    over ``idx`` of the starts that stopped converged. A start also stops
+    after ``_MAX_ITERATIONS`` iterations, and after every iteration
+    ``_retire`` retires the starts that have caught up with the best. The
+    winner is ``_winner``'s start, ``best_params`` of the result is its tuple
+    of unitaries, and ``iterations_total`` sums the iterations of all starts.
+    """
+    total = len(values)
+    active = np.ones(total, dtype=bool)
+    converged = np.zeros(total, dtype=bool)
+    iters = np.zeros(total, dtype=int)
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        done = idx[advance(idx)]
+        iters[idx] += 1
+        converged[done] = True
+        active[done] = False
+        active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
+        _retire(values, active, converged)
+
+    best = _winner(values)
+    return OptimizationResult(
+        best_value=float(values[best]),
+        best_params=tuple(p[best].copy() for p in points),
+        restarts_run=total,
+        iterations_total=int(iters.sum()),
+        converged=bool(converged[best]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# compass search over unitaries
 
 def _givens_planes(dims):
     """The Givens poll directions over a product of unitary groups of sizes ``dims``.
@@ -199,49 +267,12 @@ class _CandidatePolls:
         return np.asarray(self.batch_eval(*cand), dtype=float).reshape(len(steps), -1)
 
 
-def _winner(values) -> int:
-    """The first start whose value is within the value tolerance of the best."""
-    return int(np.nonzero(values >= values.max() - _VALUE_TOLERANCE)[0][0])
-
-
-def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
-    """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side."""
-    draws = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
-    points = []
-    for q, n in enumerate(dims):
-        warm = np.array([np.asarray(w[q], dtype=complex) for w in warm_starts])
-        rand = _haar_from_ginibre(np.array([d[q] for d in draws]))
-        points.append(np.concatenate([warm.reshape(-1, n, n), rand]))
-    return points
-
-
-def _retire(values, active, converged):
-    """Retire the active starts that have caught up with the incumbent maximum.
-
-    The lowest-index start within ``_RETIRE_LAG`` of the maximum keeps
-    refining; the rest can only tie it.
-    """
-    near = values >= values.max() - _RETIRE_LAG
-    caught = np.nonzero(active & near)[0]
-    if len(caught):
-        keep = int(np.nonzero(near)[0][0])
-        drop = caught[caught != keep]
-        converged[drop] = True
-        active[drop] = False
-
-
 def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
-    """Maximize an objective over measurement bases, one per side.
+    """Maximize an objective over measurement bases, one per side, by compass search.
 
     A point is a tuple of unitaries, one per measured side with sizes
-    ``dims``, whose columns are the basis vectors. The warm starts (tuples
-    of unitaries) come first, then ``cfg.restarts`` random starts: restart r
-    starts at one Haar unitary per side, drawn in side order from
-    ``default_rng([cfg.seed, r])``, so its start does not depend on
-    ``cfg.restarts``.
+    ``dims``, whose columns are the basis vectors; ``_lockstep`` runs the
+    starts of ``_start_points``.
 
     ``scorer`` evaluates the objective: ``scorer.values(points)`` maps one
     (R, n, n) stack per side to R values, and ``scorer.poll(points, steps,
@@ -249,59 +280,34 @@ def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> Optimi
     ``_givens_planes`` to the (R, D) values of every restart's polled
     candidates.
 
-    The search is a multistart compass search run in lockstep across
-    restarts, so each poll round is one scorer call. A poll is U G for a
-    closed-form Givens rotation G in one plane of one side (see
-    ``_givens_planes``), so candidates need no matrix exponential. Each
-    restart accepts its best polled candidate (the lowest direction index on
-    ties) by rotating its own two columns, shrinks its step on failure, and
-    stops when an accepted improvement falls below ``_VALUE_TOLERANCE``, the
-    step falls below ``_STEP_TOLERANCE`` or it has polled ``_MAX_ITERATIONS``
-    rounds. After each round ``_retire`` retires the starts that have caught
-    up with the best. The winner is ``_winner``'s start, and ``best_params``
-    of the result is its tuple of unitaries.
+    Each round is one scorer call. A poll is U G for a closed-form Givens
+    rotation G in one plane of one side (see ``_givens_planes``), so
+    candidates need no matrix exponential. Each running start accepts its
+    best polled candidate (the lowest direction index on ties) by rotating
+    its own two columns and doubles its step, up to the initial step, or
+    halves its step on failure. It stops converged when an accepted rise
+    falls below ``_VALUE_TOLERANCE`` or its step falls below
+    ``_STEP_TOLERANCE``. ``iterations_total`` counts poll rounds.
     """
     points = _start_points(dims, cfg, list(warm_starts))
     planes = _givens_planes(dims)
-
     values = scorer.values(points)
-    total = len(values)
-    steps = np.full(total, _INITIAL_STEP)
-    active = np.ones(total, dtype=bool)
-    converged = np.zeros(total, dtype=bool)
-    iters = np.zeros(total, dtype=int)
+    steps = np.full(len(values), _INITIAL_STEP)
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
+    def poll_round(idx):
         vals = scorer.poll([p[idx] for p in points], steps[idx], planes)
         best_j = np.argmax(vals, axis=1)
         best_v = vals[np.arange(len(idx)), best_j]
-        iters[idx] += 1
         imp = best_v - values[idx]
         acc = imp > 0
         up = idx[acc]
         values[up] = best_v[acc]
         _rotate_accepted(points, up, best_j[acc], steps[up], planes)
         steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
-        small = idx[acc & (imp < _VALUE_TOLERANCE)]
-        converged[small] = True
-        active[small] = False
-        down = idx[~acc]
-        steps[down] *= 0.5
-        stuck = down[steps[down] < _STEP_TOLERANCE]
-        converged[stuck] = True
-        active[stuck] = False
-        active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
-        _retire(values, active, converged)
+        steps[idx[~acc]] *= 0.5
+        return np.where(acc, imp < _VALUE_TOLERANCE, steps[idx] < _STEP_TOLERANCE)
 
-    best = _winner(values)
-    return OptimizationResult(
-        best_value=float(values[best]),
-        best_params=tuple(p[best].copy() for p in points),
-        restarts_run=total,
-        iterations_total=int(iters.sum()),
-        converged=bool(converged[best]),
-    )
+    return _lockstep(points, values, poll_round)
 
 
 def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
@@ -398,18 +404,16 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> Optimizatio
 
     ``r`` is the (na, nb, na, nb) state; ``sides`` is ("A", "B") for the
     two-sided dephased purity, ("A",) or ("B",) for the one-sided one (see
-    ``_retained_purities``). The starts are those of ``compass_search``.
+    ``_retained_purities``). ``_lockstep`` runs the starts of
+    ``_start_points``.
 
     Each step rotates every running start's state into its current bases
     and applies the best rotation of a plane (``_jacobi_step``), so no step
     lowers the purity. Disjoint planes of one side move disjoint basis
     vectors, so a step handles a whole ``_round_robin`` round at once. A
-    sweep visits every plane of each measured side once. A start stops when a sweep
-    raises its purity by less than ``_VALUE_TOLERANCE`` or after
-    ``_MAX_ITERATIONS`` sweeps; after each sweep ``_retire`` retires the
-    starts that have caught up with the best. ``iterations_total`` counts
-    sweeps. The winner is ``_winner``'s start, and ``best_params`` of the
-    result is its tuple of unitaries.
+    sweep visits every plane of each measured side once. A start stops
+    converged when a sweep raises its purity by less than
+    ``_VALUE_TOLERANCE``. ``iterations_total`` counts sweeps.
     """
     size = {"A": r.shape[0], "B": r.shape[1]}
     points = _start_points(tuple(size[s] for s in sides), cfg, list(warm_starts))
@@ -417,14 +421,9 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> Optimizatio
     bases = {s: np.broadcast_to(np.eye(n, dtype=complex), (total, n, n)) for s, n in size.items()}
     bases.update(zip(sides, points))
     rounds = [(s, j, k) for s in sides for j, k in _round_robin(size[s])]
-
     values = _retained_purities(rotated_states(r, bases["A"], bases["B"]), sides)
-    active = np.ones(total, dtype=bool)
-    converged = np.zeros(total, dtype=bool)
-    iters = np.zeros(total, dtype=int)
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
+    def sweep(idx):
         cur = {s: b[idx] for s, b in bases.items()}
         for s, j, k in rounds:
             view = _measured_first(rotated_states(r, cur["A"], cur["B"]), s)
@@ -432,22 +431,11 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> Optimizatio
         for s in sides:
             bases[s][idx] = cur[s]
         new = _retained_purities(rotated_states(r, cur["A"], cur["B"]), sides)
-        iters[idx] += 1
-        small = idx[new - values[idx] < _VALUE_TOLERANCE]
+        done = new - values[idx] < _VALUE_TOLERANCE
         values[idx] = new
-        converged[small] = True
-        active[small] = False
-        active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
-        _retire(values, active, converged)
+        return done
 
-    best = _winner(values)
-    return OptimizationResult(
-        best_value=float(values[best]),
-        best_params=tuple(bases[s][best].copy() for s in sides),
-        restarts_run=total,
-        iterations_total=int(iters.sum()),
-        converged=bool(converged[best]),
-    )
+    return _lockstep(points, values, sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,10 @@ def audit_states(n_states: int, seed: int, dims=(2, 2),
     state k, so the sampled states and measurements do not depend on it.
     """
     na, nb = dims
+    if min(na, nb) < 2:
+        raise DomainError(f"audit dims must be >= 2 on each side, got {na}x{nb}")
+    if n_states < 0:
+        raise DomainError(f"the number of states must be >= 0, got {n_states}")
     if na * nb > 16:
         raise DomainError("audit dims are capped at 16-dimensional joint spaces (4x4, 2x8)")
     rng = np.random.default_rng([seed, 47])

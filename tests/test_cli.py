@@ -20,6 +20,20 @@ def bell_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "STATE"],
+    ["verify", "--quick"],
+    ["sweep", "--family", "werner", "--m", "2", "--x-start", "0", "--x-end", "1"],
+    ["audit", "--states", "1"],
+])
+def test_negative_seed_exits_2(argv, bell_file, capsys):
+    argv = [bell_file if a == "STATE" else a for a in argv]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+
+
 class TestSweepSpec:
     def test_valid(self):
         SweepSpec("werner", 3, -1.0, 1.0, 21)
@@ -131,6 +145,17 @@ class TestCompute:
         assert captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_one_dimensional_side_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(
+            {"dim_a": 1, "dim_b": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+        ))
+        assert main(["compute", str(path), *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_invalid_density_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "notdm.json"
         path.write_text(json.dumps(
@@ -189,9 +214,16 @@ class TestAudit:
         assert main(["audit", "--states", "1", "--restarts", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_dims(self, capsys):
-        assert main(["audit", "--states", "1", "--dims", "two"]) == 2
+    @pytest.mark.parametrize("dims", ["two", "0x2"])
+    def test_bad_dims(self, capsys, dims):
+        assert main(["audit", "--states", "1", "--dims", dims]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_states(self, capsys):
+        assert main(["audit", "--states", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_largest_dims_clean(self, capsys):
         assert main(["audit", "--dims", "4x4", "--states", "2"]) == 0

@@ -44,7 +44,7 @@ class TestConfig:
         cfg = OptimizerConfig()
         assert (cfg.restarts, cfg.seed) == (64, 0)
 
-    @pytest.mark.parametrize("kwargs", [dict(restarts=0)])
+    @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(seed=-1)])
     def test_validation(self, kwargs):
         with pytest.raises(td.DomainError):
             OptimizerConfig(**kwargs)
@@ -81,6 +81,37 @@ class TestMaximizeOverBases:
                                   warm_starts=[(np.eye(2),)])
         assert res.best_value == 0.0
         np.testing.assert_array_equal(res.best_params[0], np.eye(2))
+
+
+class TestLockstep:
+    def test_both_engines_stop_at_the_iteration_cap(self, monkeypatch):
+        # every start of both unitary engines runs to the cap, so each reports
+        # cap x starts iterations and a winner that did not converge
+        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
+        r = random_bipartite(np.random.default_rng([7, 3, 3]), 3, 3).reshaped()
+        cfg = OptimizerConfig(restarts=8, seed=1)
+        for res in (jacobi_search(r, ("A", "B"), cfg),
+                    compass_search(TablePolls(r, geometric._retained_purity), (3, 3), cfg)):
+            assert (res.iterations_total, res.restarts_run, res.converged) == (16, 8, False)
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
+    def test_one_dimensional_measured_side_rejected(self, dims):
+        r = np.zeros(dims * 2, dtype=complex)
+        with pytest.raises(td.DomainError):
+            jacobi_search(r, ("A", "B"), OptimizerConfig(restarts=2))
+        with pytest.raises(td.DomainError):
+            maximize_over_bases(lambda ua, ub: np.zeros(len(ua)), dims, OptimizerConfig(restarts=2))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_warm_starts_follow_one_rule_in_every_dimension(self, dims):
+        state = random_bipartite(np.random.default_rng([13, *dims]), *dims)
+        basis = td.OrthonormalBasis(haar_unitary(np.random.default_rng(2), dims[0]))
+        starts = warm_start_bases(state, ("A",), [basis])
+        assert len(starts) == 3 and len(warm_start_bases(state, ("A", "B"))) == 2
+        np.testing.assert_array_equal(starts[0][0], np.eye(dims[0]))
+        eig = np.linalg.eigh(td.partial_trace(state, "A").entries)[1]
+        np.testing.assert_array_equal(starts[1][0], eig)
+        np.testing.assert_array_equal(starts[2][0], basis.vectors)
 
 
 class TestPatternSearch:
@@ -206,7 +237,7 @@ class TestTablePolls:
         state = td.random_state(2, 3, rank=int(seed + 2), seed=seed)
         r = state.reshaped()
         cfg = OptimizerConfig(restarts=8, seed=seed)
-        warm = warm_start_bases(state, cfg, ("A", "B"))
+        warm = warm_start_bases(state, ("A", "B"))
 
         def purity_batch(ua, ub):
             p = _full_contraction_tables(r, ua, ub)
@@ -318,7 +349,7 @@ class TestJacobiAgainstCompass:
             state = random_bipartite(np.random.default_rng([31, seed, *dims]), *dims)
             r = state.reshaped()
             cfg = OptimizerConfig(restarts=16, seed=seed)
-            warm = warm_start_bases(state, cfg, ("A", "B"))
+            warm = warm_start_bases(state, ("A", "B"))
             jac = jacobi_search(r, ("A", "B"), cfg, warm)
             ref = compass_search(TablePolls(r, geometric._retained_purity), dims, cfg, warm)
             assert jac.best_value >= ref.best_value - 1e-10
