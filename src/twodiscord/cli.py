@@ -76,11 +76,14 @@ def _config(args) -> OptimizerConfig:
 
 
 def _write(args, text: str):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {args.out}: {exc.strerror}") from exc
 
 
 def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
@@ -124,7 +127,10 @@ def build_report(state, cfg: OptimizerConfig, with_entropic: bool) -> dict:
 
 
 def cmd_compute(args) -> int:
-    state = load_state(args.state_file)
+    try:
+        state = load_state(args.state_file)
+    except OSError as exc:
+        raise DomainError(f"cannot read state file {args.state_file}: {exc.strerror}") from exc
     report = build_report(state, _config(args), args.entropic)
     if args.format == "json":
         text = json.dumps(report, indent=2, default=float) + "\n"
@@ -230,9 +236,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: state file not found: {exc.filename}", file=sys.stderr)
-        return 2
     except DiscordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,13 @@
 """Von Neumann entropy, mutual information, and the entropic discords under
-one- and two-sided projective measurements. All values are in bits."""
+one- and two-sided projective measurements. All values are in bits.
+
+Both discords maximize a retained information over measurement bases by
+``optimize.jacobi_search`` on ``RETAINED_INFORMATION``. In one Givens plane
+the moved rows of the dephased table, or the moved blocks of the measured
+side, are a +- X with X linear in a unit 3-vector v; the objective moves by
+phi(a + X) + phi(a - X), whose closed-form derivatives in v drive the plane
+solve's Newton step (``optimize.plane_ascent``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import TablePolls, entropy_of_spectra, shannon_bits, side_blocks_batch
+from ._contract import EIG_FLOOR, entropy_of_spectra, shannon_bits
 from .measurement import (
     ProductMeasurement,
     _basis_unchecked,
@@ -18,8 +26,10 @@ from .measurement import (
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
-    compass_search,
-    maximize_over_bases,
+    PlaneObjective,
+    _measured_first,
+    jacobi_search,
+    plane_ascent,
     warm_start_bases,
 )
 from .states import BipartiteState, DensityMatrix, partial_trace
@@ -79,42 +89,135 @@ def loss_split(state: BipartiteState, m: ProductMeasurement):
 
 
 # ---------------------------------------------------------------------------
+# the retained information as a Jacobi objective
+
+def _retained_informations(rt, sides):
+    """The objective of the entropic searches for each state in an
+    (R, na, nb, na, nb) stack in its current bases.
+
+    Two sides: ``_retained_information`` of the dephased table. One side:
+    the sum of ``_phi`` over the spectra of the blocks <o|rho~|o> of the
+    measured side, H(p) - sum_o S(<o|rho~|o>) with p_o their traces, the
+    negated conditional-entropy gap.
+    """
+    if len(sides) == 2:
+        p = np.einsum("rabab->rab", rt).real
+        return _retained_information(np.maximum(p, 0.0))
+    blocks = np.einsum("rabac->rabc", _measured_first(rt, sides[0]))
+    return _phi(np.linalg.eigvalsh(blocks)).sum(axis=-1)
+
+
+def _phi(lam):
+    """h(sum lam) - sum h(lam) of each spectrum in a (..., K) stack, h(x) = -x log2 x."""
+    lam = np.maximum(lam, 0.0)
+    return shannon_bits(lam.sum(axis=-1, keepdims=True), axis=-1) - shannon_bits(lam, axis=-1)
+
+
+def _phi_derivatives(lam, gh):
+    """Gradient (..., 3) and Hessian (..., 3, 3) in v of phi(spectrum of B) along
+    B = a + sum_i v_i g_i.
+
+    ``lam`` (..., K) is B's spectrum and ``gh`` the g_i in B's eigenbasis:
+    (..., 3, K, K), or (..., 3, K) when B and the g_i are diagonal (rows).
+    With h'(x) = -log2 x - 1/ln 2, the first derivatives are
+    h'(tr B) tr g_i - sum_l h'(lam_l) gh_i,ll, and by Daleckii-Krein the
+    second are h''(tr B) tr g_i tr g_j - Re sum_lm gh_i,lm conj(gh_j,lm) D_lm,
+    with D the divided differences of h' over the spectrum; on rows only
+    D_ll = h''(lam_l) enters. Eigenvalues below ``EIG_FLOOR`` are raised to it.
+    """
+    lam = np.maximum(lam, EIG_FLOOR)
+    tr = lam.sum(axis=-1)
+    rows = gh.ndim == lam.ndim + 1
+    diag = gh if rows else np.diagonal(gh, axis1=-2, axis2=-1).real
+    tg = diag.sum(axis=-1)
+    grad = (diag @ np.log2(lam)[..., None])[..., 0] - np.log2(tr)[..., None] * tg
+    if rows:
+        dd = -1.0 / (lam * np.log(2.0))
+    else:
+        # (h'(lam_l) - h'(lam_m)) / (lam_l - lam_m) = -log1p(x) / (x lam_m ln 2),
+        # x = lam_l / lam_m - 1
+        x = (lam[..., :, None] - lam[..., None, :]) / lam[..., None, :]
+        ratio = np.log1p(x) / np.where(x == 0.0, 1.0, x)
+        dd = -np.where(x == 0.0, 1.0, ratio) / (lam[..., None, :] * np.log(2.0))
+    flat = gh.reshape(*tg.shape, -1)
+    hess = (-1.0 / (tr * np.log(2.0)))[..., None, None] * tg[..., :, None] * tg[..., None, :]
+    weighted = gh * np.expand_dims(dd, lam.ndim - 1)
+    hess -= (weighted.reshape(flat.shape) @ flat.conj().swapaxes(-1, -2)).real
+    return grad, hess
+
+
+def _moved(a, g, v):
+    """The blocks a + X and a - X, X = sum_i v_i g_i, for each plane and each
+    of C directions: v is (N, C, 3) or a (C, 3) stack shared by the N planes;
+    the result is (N, 2, C, ...) (see ``_plane_data``)."""
+    n, shape = len(a), a.shape[1:]
+    x = (v @ g.reshape(n, 3, -1)).reshape(n, 1, -1, *shape)
+    return a[:, None, None] + np.array([1.0, -1.0]).reshape(2, 1, *(1 for _ in shape)) * x
+
+
+def _plane_value(a, g, v):
+    """phi(a + X) + phi(a - X) for each plane and direction: (N, C).
+
+    Two-sided, a and g are table rows, whose entries are their own spectra;
+    one-sided, they are blocks, whose spectra come from ``eigvalsh``.
+    """
+    b = _moved(a, g, v)
+    return _phi(b if a.ndim == 2 else np.linalg.eigvalsh(b)).sum(axis=1)
+
+
+def _plane_derivatives(a, g, v):
+    """Gradient (N, 3) and Hessian (N, 3, 3) of ``_plane_value`` at (N, 3) directions v.
+
+    B = a - X moves along -g, so its g in ``_phi_derivatives`` is negated.
+    A row is a diagonal block whose eigenbasis is the standard one.
+    """
+    b = _moved(a, g, v[:, None])[:, :, 0]
+    if a.ndim == 2:
+        lam, gh = b, np.array([1.0, -1.0])[:, None, None] * g[:, None]
+    else:
+        lam, q = np.linalg.eigh(b)
+        gh = (np.array([1.0, -1.0])[:, None, None, None]
+              * (q.conj().swapaxes(-1, -2)[:, :, None] @ g[:, None] @ q[:, :, None]))
+    grad, hess = _phi_derivatives(lam, gh)
+    return grad.sum(axis=1), hess.sum(axis=1)
+
+
+def _information_plane(a, g):
+    """The plane solve of the retained information: ``plane_ascent`` on
+    ``_plane_value``, the part of the objective that one plane moves."""
+    return plane_ascent(lambda v: _plane_value(a, g, v), lambda v: _plane_derivatives(a, g, v))
+
+
+RETAINED_INFORMATION = PlaneObjective(_retained_informations, _information_plane)
+
+
+# ---------------------------------------------------------------------------
 # optimized discords
 
 def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
                       extra_warm_starts=()) -> DiscordValue:
     """S(rho_side) - S(rho) + min over found bases of [S(rho~) - S(rho~_side)].
 
-    A heuristic upper estimate of the true infimum.
+    A heuristic upper estimate of the true infimum. The basis comes from the
+    Jacobi sweeps of ``jacobi_search`` on ``RETAINED_INFORMATION``.
     """
     _check_side(side)
-    n = state.dim_a if side == "A" else state.dim_b
-    r = state.reshaped()
-
-    def batch(u):
-        blocks = side_blocks_batch(r, u, side)
-        nn = blocks.shape[0]
-        k = blocks.shape[-1]
-        w = np.linalg.eigvalsh(blocks.reshape(nn * n, k, k))
-        s_joint = entropy_of_spectra(w.reshape(nn, n * k))
-        p_marg = np.einsum("nokk->no", blocks).real
-        s_marg = shannon_bits(np.where(p_marg < 0, 0.0, p_marg), axis=-1)
-        return s_marg - s_joint  # maximize the negated conditional-entropy gap
-
-    res = maximize_over_bases(
-        batch, (n,), cfg, warm_start_bases(state, (side,), extra_warm_starts)
-    )
+    res = jacobi_search(state.reshaped(), (side,), cfg,
+                        warm_start_bases(state, (side,), extra_warm_starts),
+                        RETAINED_INFORMATION)
     value = entropy(partial_trace(state, side)) - entropy(state.rho) - res.best_value
     basis = _basis_unchecked(res.best_params[0])
     return DiscordValue(value=float(value), optimal_measurement=basis, optimizer_report=res)
 
 
 def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordValue:
-    """Mutual information minus the best found retained mutual information."""
-    res = compass_search(
-        TablePolls(state.reshaped(), _retained_information), (state.dim_a, state.dim_b), cfg,
-        warm_start_bases(state, ("A", "B")),
-    )
+    """Mutual information minus the best found retained mutual information.
+
+    The bases come from the Jacobi sweeps of ``jacobi_search`` on
+    ``RETAINED_INFORMATION``.
+    """
+    res = jacobi_search(state.reshaped(), ("A", "B"), cfg, warm_start_bases(state, ("A", "B")),
+                        RETAINED_INFORMATION)
     ua, ub = res.best_params
     value = mutual_information(state) - res.best_value
     return DiscordValue(

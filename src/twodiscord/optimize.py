@@ -7,16 +7,18 @@ then Haar random restarts (``_start_points``). ``_lockstep`` runs the
 starts of both engines and holds the iteration cap, the retire rule and
 the winner rule; each engine supplies only its step:
 
-- ``jacobi_search`` maximizes the retained purity of the geometric discords
-  by exact Jacobi sweeps: in one Givens plane the purity is a quadratic form
-  on the sphere, so each step takes the best rotation of its plane from one
-  3x3 eigenproblem.
+- ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
+  rotates a round of disjoint Givens planes, each by the rotation its
+  objective's plane solve picks from the plane data of ``_plane_data``.
+  In one plane the moved rows or blocks are affine in a unit 3-vector v.
+  The retained purity (``RETAINED_PURITY``) is then a quadratic form in v,
+  solved exactly by one 3x3 eigenproblem (Cardoso & Souloumiac 1996); the
+  entropic objectives (``entropic.RETAINED_INFORMATION``) take the best
+  point of a small grid and one Riemannian Newton step (``plane_ascent``).
 - ``compass_search`` is a compass (pattern) search that polls closed-form
-  Givens rotations; it serves the entropic objectives and verification's
-  independent correlation-matrix route. A scorer values each round's polls:
-  the two-sided entropic search uses the table updates of
-  ``_contract.TablePolls``, every other objective goes through
-  ``maximize_over_bases``, which builds each candidate's unitaries.
+  Givens rotations; it serves only verification's independent
+  correlation-matrix route, through ``maximize_over_bases``, which builds
+  each candidate's unitaries.
 
 The two-qubit alternation on the Bloch objective keeps its own loop: its
 starts are Bloch vectors, it never retires, and it shares only the winner
@@ -26,6 +28,7 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -321,7 +324,7 @@ def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
 
 
 # ---------------------------------------------------------------------------
-# exact Jacobi sweeps for the geometric objectives
+# Jacobi sweeps: one plane solve per Givens plane
 
 def _round_robin(n):
     """Rounds of disjoint planes (j, k), j < k, that cover each plane of an
@@ -356,64 +359,152 @@ def _retained_purities(rt, sides):
     return np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=(1, 2, 3))
 
 
-def _jacobi_gram(view, j, k, two_sided):
-    """The (R, P, 3, 3) Gram matrix of each restart and each plane (j[p], k[p]).
+def _plane_data(view, j, k, two_sided):
+    """What rotating basis vectors j[p], k[p] moves, for each plane p and restart r.
 
     ``view`` is the (R, n, m, n, m) stack of states in the current bases,
     measured side first (``_measured_first``). Rotating basis vectors j and
-    k by (theta, phi) (see ``_jacobi_rotations``) changes the retained
-    purity by 2 (v^t G v - G_00), with v = (cos 2theta, sin 2theta cos phi,
-    sin 2theta sin phi). Each block H = rho~[:, beta, :, gamma] gives
-    g = ((H_jj - H_kk)/2, (H_jk + H_kj)/2, i (H_jk - H_kj)/2) and
-    G = Re sum g g^H, over beta = gamma for the two-sided purity and over
-    every (beta, gamma) for the one-sided one.
+    k by (theta, phi) (see ``_rotations``) turns the blocks <j|rho~|j> and
+    <k|rho~|k> into a + X and a - X, with X = sum_i v_i g_i and
+    v = (cos 2theta, sin 2theta cos phi, sin 2theta sin phi). From the
+    blocks H = rho~[:, beta, :, gamma], a = (H_jj + H_kk)/2 and
+    g = ((H_jj - H_kk)/2, (H_jk + H_kj)/2, i (H_jk - H_kj)/2). The N = P R
+    planes run plane-major. Two-sided, the diagonals (beta = gamma) are the
+    two moved rows of the dephased table: a is (N, m) and g (N, 3, m), both
+    real. One-sided, a is (N, m, m) and g (N, 3, m, m), Hermitian in their
+    last two axes.
     """
     def entry(a, b):
         e = view[:, a, :, b, :]  # advanced indices first: (P, R, m, m)
-        return np.diagonal(e, axis1=2, axis2=3) if two_sided else e.reshape(*e.shape[:2], -1)
+        e = np.diagonal(e, axis1=2, axis2=3) if two_sided else e
+        return e.reshape(-1, *e.shape[2:])
 
     hjj, hkk, hjk, hkj = entry(j, j), entry(k, k), entry(j, k), entry(k, j)
-    g = np.stack([0.5 * (hjj - hkk), 0.5 * (hjk + hkj), 0.5j * (hjk - hkj)])
-    return np.einsum("aprk,bprk->rpab", g, g.conj()).real
+    a = 0.5 * (hjj + hkk)
+    g = np.stack([0.5 * (hjj - hkk), 0.5 * (hjk + hkj), 0.5j * (hjk - hkj)], axis=1)
+    return (a.real, g.real) if two_sided else (a, g)
 
 
-def _jacobi_rotations(gram):
-    """cos theta, sin theta and e^{i phi} of the best rotation of each plane.
+def _purity_plane(a, g):
+    """The best direction v of each plane for the retained purity.
 
-    v is the top eigenvector of the Gram matrix, signed so that v_0 >= 0;
+    The moved purity is 2 |a|^2 + 2 v^t G v with the Gram G = Re sum g g^H,
+    so v is G's top eigenvector: one 3x3 ``eigh`` per plane.
+    """
+    g = g.reshape(len(g), 3, -1)
+    gram = np.einsum("nak,nbk->nab", g, g.conj()).real
+    return np.linalg.eigh(gram)[1][..., -1]
+
+
+def _fibonacci_directions(n):
+    """n unit vectors spread over the half sphere v_0 > 0 (a Fibonacci lattice),
+    one per antipodal pair."""
+    i = np.arange(n) + 0.5
+    x = 1.0 - i / n
+    rho, az = np.sqrt(1.0 - x * x), i * np.pi * (3.0 - np.sqrt(5.0))
+    return np.stack([x, rho * np.cos(az), rho * np.sin(az)], axis=1)
+
+
+# the grid of the non-quadratic plane solves: no move first, so a tie keeps it,
+# then _PLANE_GRID_SIZE directions; one Newton step of length <= _NEWTON_CAP follows
+_PLANE_GRID_SIZE = 8
+_NEWTON_CAP = 0.5
+# curvatures below this count as this, so a flat plane takes a capped step
+_CURVATURE_FLOOR = 1e-12
+_PLANE_GRID = np.vstack([[1.0, 0.0, 0.0], _fibonacci_directions(_PLANE_GRID_SIZE)])
+
+
+def plane_ascent(value, derivatives):
+    """The plane solve of a smooth objective f(v) that is even on the sphere.
+
+    ``value(v)`` maps an (N, C, 3) stack of unit vectors, or a (C, 3) stack
+    shared by the N planes, to the (N, C) values of f; ``derivatives(v)``
+    maps (N, 3) to f's gradient (N, 3) and Hessian (N, 3, 3) in R^3.
+    Returns (N, 3): the best point of ``_PLANE_GRID``, moved by one
+    Riemannian Newton step on the sphere when that raises f. With the
+    tangent projector P = I - v v^t, the step solves |H| eta = P grad for
+    the Riemannian Hessian H = P Hess P - (v . grad) P, its eigenvalues
+    taken in magnitude so that it ascends where f is not concave (Absil,
+    Mahony & Sepulchre 2008; Ishteva, Absil & Van Dooren 2013), and is cut
+    to length ``_NEWTON_CAP``. No move is the first grid point, so a plane
+    solve never lowers f.
+    """
+    vals = value(_PLANE_GRID)
+    best = np.argmax(vals, axis=1)
+    v = _PLANE_GRID[best]
+    f0 = vals[np.arange(len(v)), best]
+    grad, hess = derivatives(v)
+    radial = np.sum(v * grad, axis=1)
+    vv = v[:, :, None] * v[:, None, :]
+    proj = np.eye(3) - vv
+    # v is an eigenvector of h with eigenvalue 1 and carries no gradient
+    h = proj @ hess @ proj - radial[:, None, None] * proj + vv
+    mu, e = np.linalg.eigh(h)
+    coef = ((grad - radial[:, None] * v)[:, None] @ e)[:, 0]
+    eta = (e @ (coef / np.maximum(np.abs(mu), _CURVATURE_FLOOR))[:, :, None])[..., 0]
+    norm = np.linalg.norm(eta, axis=1, keepdims=True)
+    step = v + eta * np.minimum(1.0, _NEWTON_CAP / np.maximum(norm, _NEWTON_CAP))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    better = value(step[:, None])[:, 0] > f0
+    return np.where(better[:, None], step, v)
+
+
+class PlaneObjective(NamedTuple):
+    """An objective of ``jacobi_search``.
+
+    ``values(rt, sides)`` maps an (R, na, nb, na, nb) stack of states in
+    their current bases to R values; ``solve(a, g)`` maps the plane data
+    of ``_plane_data`` to the (N, 3) unit vectors v of the rotations to
+    take (``_rotations``), never lowering the value.
+    """
+
+    values: Callable
+    solve: Callable
+
+
+RETAINED_PURITY = PlaneObjective(_retained_purities, _purity_plane)
+
+
+def _rotations(v):
+    """cos theta, sin theta and e^{i phi} of the rotation that realizes each v.
+
+    v is signed so that v_0 >= 0 (the objectives are even in v);
     theta = arccos(v_0) / 2 and phi = atan2(v_2, v_1). The rotation takes
     basis vector j to c u_j + e^{i phi} s u_k and k to
     -e^{-i phi} s u_j + c u_k (``_rotate_columns`` with mult_j = e^{i phi},
     mult_k = -e^{-i phi}).
     """
-    v = np.linalg.eigh(gram)[1][..., -1]
     v = np.where(v[..., :1] < 0, -v, v)
     theta = 0.5 * np.arccos(np.clip(v[..., 0], -1.0, 1.0))
     return np.cos(theta), np.sin(theta), np.exp(1j * np.arctan2(v[..., 2], v[..., 1]))
 
 
-def _jacobi_step(u, view, j, k, two_sided):
-    """Rotate basis vectors j[p], k[p] of each (R, n, n) basis in ``u`` by the best
-    rotation of their plane, in place; ``view`` is as for ``_jacobi_gram``."""
-    c, s, ph = (x[:, None] for x in _jacobi_rotations(_jacobi_gram(view, j, k, two_sided)))
+def _jacobi_step(u, view, j, k, two_sided, solve):
+    """Rotate basis vectors j[p], k[p] of each (R, n, n) basis in ``u`` by the
+    rotation ``solve`` picks for their plane, in place; ``view`` is as for
+    ``_plane_data``."""
+    v = solve(*_plane_data(view, j, k, two_sided)).reshape(len(j), len(u), 3)
+    c, s, ph = (x.T[:, None] for x in _rotations(v))
     u[:, :, j], u[:, :, k] = _rotate_columns(u[:, :, j], u[:, :, k], c, s, ph, -ph.conj())
 
 
-def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
-    """Maximize the retained purity over the bases of the measured ``sides``.
+def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
+                  objective: PlaneObjective = RETAINED_PURITY) -> OptimizationResult:
+    """Maximize ``objective`` over the bases of the measured ``sides`` by Jacobi sweeps.
 
-    ``r`` is the (na, nb, na, nb) state; ``sides`` is ("A", "B") for the
-    two-sided dephased purity, ("A",) or ("B",) for the one-sided one (see
-    ``_retained_purities``). ``_lockstep`` runs the starts of
-    ``_start_points``.
+    ``r`` is the (na, nb, na, nb) state; ``sides`` is ("A", "B") for a
+    two-sided objective of the dephased table, ("A",) or ("B",) for a
+    one-sided one of the measured side's blocks. ``_lockstep`` runs the
+    starts of ``_start_points``.
 
     Each step rotates every running start's state into its current bases
-    and applies the best rotation of a plane (``_jacobi_step``), so no step
-    lowers the purity. Disjoint planes of one side move disjoint basis
-    vectors, so a step handles a whole ``_round_robin`` round at once. A
-    sweep visits every plane of each measured side once. A start stops
-    converged when a sweep raises its purity by less than
-    ``_VALUE_TOLERANCE``. ``iterations_total`` counts sweeps.
+    and applies the rotation ``objective.solve`` picks in each plane
+    (``_jacobi_step``), so no step lowers the value. Disjoint planes of one
+    side move disjoint basis vectors, so a step handles a whole
+    ``_round_robin`` round at once. A sweep visits every plane of each
+    measured side once. A start stops converged when a sweep raises its
+    value by less than ``_VALUE_TOLERANCE``. ``iterations_total`` counts
+    sweeps.
     """
     size = {"A": r.shape[0], "B": r.shape[1]}
     points = _start_points(tuple(size[s] for s in sides), cfg, list(warm_starts))
@@ -421,16 +512,16 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=()) -> Optimizatio
     bases = {s: np.broadcast_to(np.eye(n, dtype=complex), (total, n, n)) for s, n in size.items()}
     bases.update(zip(sides, points))
     rounds = [(s, j, k) for s in sides for j, k in _round_robin(size[s])]
-    values = _retained_purities(rotated_states(r, bases["A"], bases["B"]), sides)
+    values = objective.values(rotated_states(r, bases["A"], bases["B"]), sides)
 
     def sweep(idx):
         cur = {s: b[idx] for s, b in bases.items()}
         for s, j, k in rounds:
             view = _measured_first(rotated_states(r, cur["A"], cur["B"]), s)
-            _jacobi_step(cur[s], view, j, k, len(sides) == 2)
+            _jacobi_step(cur[s], view, j, k, len(sides) == 2, objective.solve)
         for s in sides:
             bases[s][idx] = cur[s]
-        new = _retained_purities(rotated_states(r, cur["A"], cur["B"]), sides)
+        new = objective.values(rotated_states(r, cur["A"], cur["B"]), sides)
         done = new - values[idx] < _VALUE_TOLERANCE
         values[idx] = new
         return done

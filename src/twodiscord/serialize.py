@@ -61,9 +61,14 @@ def _reject_constant(name):
 
 
 def load_state(path) -> BipartiteState:
-    with open(path) as fh:
+    """The state in a JSON file. A file that cannot be opened raises ``OSError``;
+    one that is not UTF-8 JSON of the schema raises ``StateFormatError``."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise StateFormatError(f"not UTF-8 text: byte {exc.start} is {bad:#04x}") from exc
     return state_from_dict(doc)

@@ -57,14 +57,17 @@ class DensityMatrix:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise NonHermitianError(
-                f"matrix deviates from its conjugate transpose by "
-                f"{np.max(np.abs(m - m.conj().T)):.3e}"
-            )
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NonUnitTraceError(f"trace is {tr}, expected 1")
+        # finite entries near the float range may overflow in these two checks,
+        # which then fail on the inf they produce, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+                raise NonHermitianError(
+                    f"matrix deviates from its conjugate transpose by "
+                    f"{np.max(np.abs(m - m.conj().T)):.3e}"
+                )
+            tr = np.trace(m)
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise NonUnitTraceError(f"trace is {tr}, expected 1")
         w = np.linalg.eigvalsh(m)
         if w[0] < -PSD_TOL:
             raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")

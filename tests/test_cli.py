@@ -95,6 +95,36 @@ class TestCompute:
         assert main(["compute", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    BAD_INPUT = {
+        "directory": "error: cannot read state file {path}: Is a directory",
+        "not-utf8": "error: not UTF-8 text: byte 2 is 0xe9",
+        "huge-entries": "error: trace is (inf+0j), expected 1",
+        "missing-out-dir": "error: cannot write output file {out}: No such file or directory",
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_bad_input_exits_2_with_one_error_line(self, bell_file, tmp_path, capsys,
+                                                   recwarn, case):
+        # a traceback, a warning or a line naming the wrong file is a failure
+        path, out = str(tmp_path / "state.json"), str(tmp_path / "missing" / "r.csv")
+        argv = ["compute", path, *FAST]
+        if case == "directory":
+            argv[1] = path = str(tmp_path)
+        elif case == "not-utf8":
+            (tmp_path / "state.json").write_bytes(b'{"\xe9": 1}')
+        elif case == "huge-entries":
+            (tmp_path / "state.json").write_text(json.dumps(
+                {"dim_a": 2, "dim_b": 2,
+                 "matrix": [[[1e308 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
+            ))
+        else:
+            argv = ["compute", bell_file, "--out", out, *FAST]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.BAD_INPUT[case].format(path=path, out=out) + "\n"
+        assert not recwarn.list
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_exits_2(self, bell_file, tmp_path, capsys, bad):
         path = tmp_path / "nonfinite.json"

@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord import optimize
+from twodiscord import entropic
 from twodiscord import geometric
-from twodiscord._contract import (
-    TablePolls,
-    _plane_rows,
-    rotated_states,
-    shannon_bits,
-    side_blocks_batch,
-)
+from twodiscord._contract import entropy_of_spectra, rotated_states, shannon_bits
+from twodiscord.entropic import RETAINED_INFORMATION
 from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _givens_planes,
     _givens_poll,
     _alternating_detail,
-    _jacobi_gram,
-    _jacobi_rotations,
     _jacobi_step,
     _measured_first,
+    _plane_data,
+    _purity_plane,
+    _rotations,
     _round_robin,
     _start_points,
     bloch_pair_objective,
@@ -37,6 +34,106 @@ from twodiscord.optimize import (
     warm_start_bases,
 )
 from twodiscord.verification import random_bipartite
+
+
+# ---------------------------------------------------------------------------
+# compass-search references for the Jacobi searches: a two-sided scorer by
+# two-row table updates and the one-sided entropic objective from its blocks
+
+def _side_blocks(r, u, side):
+    """Blocks <o|rho|o> on the measured side for each basis in an (N, n, n) stack.
+
+    Side A gives (N, na, nb, nb) blocks, side B gives (N, nb, na, na).
+    """
+    n, d = u.shape[0], u.shape[1]
+    rows = np.einsum("nao,nco->noac", u.conj(), u).reshape(n * d, d * d)
+    rm = r.transpose(0, 2, 1, 3) if side == "A" else r.transpose(1, 3, 0, 2)
+    m = rm.shape[2]
+    return (rows @ rm.reshape(d * d, m * m)).reshape(n, d, m, m)
+
+
+def _plane_rows(p, g, cos, sin, j, k, mult_j, mult_k):
+    """Tables after a Givens rotation of rows j and k, one per direction.
+
+    ``p`` is the (R, n, m) base table and ``g[r, a, c, x]`` the entry (a, c)
+    of the Hermitian block of column x, so ``p[r, a, x] = g[r, a, a, x]``.
+    Column j of the basis becomes c e_j + mult_j s e_k and column k becomes
+    mult_k s e_j + c e_k, so row j becomes c^2 H_jj + s^2 H_kk +
+    2cs Re(mult_j H_jk) and row k becomes s^2 H_jj + c^2 H_kk +
+    2cs Re(conj(mult_k) H_jk). ``cos`` and ``sin`` are (R, D); the result is
+    (R, D, n, m).
+    """
+    c, s = cos[..., None], sin[..., None]
+    hjj, hkk, hjk = p[:, j], p[:, k], g[:, j, k]
+    cross = 2.0 * c * s
+    d = np.arange(len(j))
+    out = np.repeat(p[:, None], len(j), axis=1)
+    out[:, d, j] = c * c * hjj + s * s * hkk + cross * (mult_j[:, None] * hjk).real
+    out[:, d, k] = s * s * hjj + c * c * hkk + cross * (mult_k.conj()[:, None] * hjk).real
+    return out
+
+
+class TablePolls:
+    """A ``compass_search`` scorer of two-sided Givens polls by two-row table updates.
+
+    ``score`` maps an (N, na, nb) stack of tables, negatives clipped to 0,
+    to N values. Per round each restart's state is rotated into its current
+    bases once; the blocks rho~[:, beta, :, beta] (side A) and
+    rho~[alpha, :, alpha, :] (side B) give every candidate's two new rows
+    or columns.
+    """
+
+    def __init__(self, r, score):
+        self.r = r
+        self.na, self.nb = r.shape[0], r.shape[1]
+        self.score = score
+
+    def values(self, points):
+        p = np.einsum("rabab->rab", rotated_states(self.r, *points)).real
+        return self.score(np.maximum(p, 0.0))
+
+    def tables(self, points, steps, planes):
+        """(R, D, na, nb) candidate tables for the directions of ``_givens_planes``."""
+        side, j, k, mult_j, mult_k, sign = planes
+        ang = steps[:, None] * sign[None, :]
+        cos, sin = np.cos(ang), np.sin(ang)
+        rt = rotated_states(self.r, *points)
+        p = np.einsum("rabab->rab", rt).real
+        out = np.empty((len(steps), len(sign), self.na, self.nb))
+        on_a, on_b = side == 0, side == 1
+        out[:, on_a] = _plane_rows(
+            p, np.einsum("rabcb->racb", rt), cos[:, on_a], sin[:, on_a],
+            j[on_a], k[on_a], mult_j[on_a], mult_k[on_a],
+        )
+        out[:, on_b] = _plane_rows(
+            p.transpose(0, 2, 1), np.einsum("rabad->rbda", rt), cos[:, on_b], sin[:, on_b],
+            j[on_b], k[on_b], mult_j[on_b], mult_k[on_b],
+        ).transpose(0, 1, 3, 2)
+        return np.maximum(out, 0.0, out=out)
+
+    def poll(self, points, steps, planes):
+        t = self.tables(points, steps, planes)
+        return self.score(t.reshape(-1, self.na, self.nb)).reshape(t.shape[:2])
+
+
+def _one_sided_information(r, u, side):
+    """H(p) - sum_o S(<o|rho|o>) for each basis in an (N, n, n) stack, p_o the
+    blocks' traces: the one-sided entropic objective, from the blocks alone."""
+    blocks = _side_blocks(r, u, side)
+    nn, n, k = blocks.shape[:3]
+    s_joint = entropy_of_spectra(np.linalg.eigvalsh(blocks).reshape(nn, n * k))
+    p_marg = np.einsum("nokk->no", blocks).real
+    return shannon_bits(np.where(p_marg < 0, 0.0, p_marg), axis=-1) - s_joint
+
+
+def _compass_information(state, sides, cfg, warm):
+    """The compass search of an entropic objective from the given starts."""
+    r = state.reshaped()
+    if len(sides) == 2:
+        return compass_search(TablePolls(r, entropic._retained_information),
+                              (state.dim_a, state.dim_b), cfg, warm)
+    return maximize_over_bases(lambda u: _one_sided_information(r, u, sides[0]),
+                               (r.shape["AB".index(sides[0])],), cfg, warm)
 
 
 class TestConfig:
@@ -86,12 +183,15 @@ class TestMaximizeOverBases:
 class TestLockstep:
     def test_both_engines_stop_at_the_iteration_cap(self, monkeypatch):
         # every start of both unitary engines runs to the cap, so each reports
-        # cap x starts iterations and a winner that did not converge
+        # cap x starts iterations and a winner that did not converge; the
+        # entropic Jacobi searches count sweeps against the same cap
         monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
         r = random_bipartite(np.random.default_rng([7, 3, 3]), 3, 3).reshaped()
         cfg = OptimizerConfig(restarts=8, seed=1)
         for res in (jacobi_search(r, ("A", "B"), cfg),
-                    compass_search(TablePolls(r, geometric._retained_purity), (3, 3), cfg)):
+                    compass_search(TablePolls(r, geometric._retained_purity), (3, 3), cfg),
+                    *(jacobi_search(r, sides, cfg, objective=RETAINED_INFORMATION)
+                      for sides in (("A", "B"), ("A",), ("B",)))):
             assert (res.iterations_total, res.restarts_run, res.converged) == (16, 8, False)
 
     @pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
@@ -258,7 +358,7 @@ class TestTablePolls:
 
 def _one_sided_purity(r, u, side):
     """Sum of squared moduli of the measured side's blocks for each basis in u."""
-    return np.sum(np.abs(side_blocks_batch(r, u, side)) ** 2, axis=(1, 2, 3))
+    return np.sum(np.abs(_side_blocks(r, u, side)) ** 2, axis=(1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -269,6 +369,13 @@ def test_round_robin_covers_each_plane_once_in_disjoint_rounds(n):
     assert sorted(planes) == list(itertools.combinations(range(n), 2))
     for j, k in rounds:
         assert len(j) == n // 2 and len(set(j) | set(k)) == 2 * len(j)
+
+
+def _gram(view, j, k, two_sided):
+    """The (R, 3, 3) Gram Re sum g g^H of one plane's data, for each restart."""
+    g = _plane_data(view, j, k, two_sided)[1]
+    g = g.reshape(len(g), 3, -1)
+    return np.einsum("nak,nbk->nab", g, g.conj()).real
 
 
 class TestJacobiStep:
@@ -300,15 +407,15 @@ class TestJacobiStep:
                      else (p.transpose(0, 2, 1), np.einsum("rabad->rbda", rt)))
             for j, k in itertools.combinations(range(dims[q]), 2):
                 jj, kk = np.array([j]), np.array([k])
-                gram = _jacobi_gram(_measured_first(rt, side), jj, kk, True)[:, 0]
+                gram = _gram(_measured_first(rt, side), jj, kk, True)
                 want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
-                c, s, ph = (x[:, 0] for x in _jacobi_rotations(gram[:, None]))
+                c, s, ph = _rotations(np.linalg.eigh(gram)[1][:, :, -1])
                 for i in range(self.RESTARTS):
                     rows = _plane_rows(pq[i:i + 1], g[i:i + 1], c[i:i + 1, None],
                                        s[i:i + 1, None], jj, kk, ph[i:i + 1], -ph[i:i + 1].conj())
                     assert np.sum(rows ** 2) == pytest.approx(want[i], abs=1e-13)
                 moved = [u.copy() for u in points]
-                _jacobi_step(moved[q], _measured_first(rt, side), jj, kk, True)
+                _jacobi_step(moved[q], _measured_first(rt, side), jj, kk, True, _purity_plane)
                 np.testing.assert_allclose(scorer.values(moved), want, rtol=0, atol=1e-13)
                 in_plane = (planes[0] == q) & (planes[1] == j) & (planes[2] == k)
                 assert in_plane.sum() == 4
@@ -329,10 +436,10 @@ class TestJacobiStep:
                  for step in (0.25, 1e-3)}
         for j, k in itertools.combinations(range(n), 2):
             jj, kk = np.array([j]), np.array([k])
-            gram = _jacobi_gram(_measured_first(rt, side), jj, kk, False)[:, 0]
+            gram = _gram(_measured_first(rt, side), jj, kk, False)
             want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
             moved = u.copy()
-            _jacobi_step(moved, _measured_first(rt, side), jj, kk, False)
+            _jacobi_step(moved, _measured_first(rt, side), jj, kk, False, _purity_plane)
             np.testing.assert_allclose(_one_sided_purity(r, moved, side), want, rtol=0, atol=1e-13)
             in_plane = (planes[1] == j) & (planes[2] == k)
             for cand in cands.values():
@@ -353,6 +460,104 @@ class TestJacobiAgainstCompass:
             jac = jacobi_search(r, ("A", "B"), cfg, warm)
             ref = compass_search(TablePolls(r, geometric._retained_purity), dims, cfg, warm)
             assert jac.best_value >= ref.best_value - 1e-10
+
+
+class TestEntropicPlaneSolve:
+    """The entropic plane objectives: closed-form derivatives against central
+    differences, and plane solves that never lower the objective."""
+
+    RESTARTS = 3
+
+    def _planes(self, dims, side, rank=None):
+        """The states in random bases and the planes (j, k) of ``side``."""
+        rng = np.random.default_rng([37, *dims, "AB".index(side)])
+        state = random_bipartite(rng, *dims, rank=rank)
+        points = [np.array([haar_unitary(rng, n) for _ in range(self.RESTARTS)]) for n in dims]
+        n = dims["AB".index(side)]
+        return rotated_states(state.reshaped(), *points), [
+            (np.array([j]), np.array([k])) for j, k in itertools.combinations(range(n), 2)]
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_derivatives_match_central_differences(self, dims, side, two_sided):
+        rt, planes = self._planes(dims, side)
+        rng = np.random.default_rng([41, *dims])
+        h = 1e-5
+        for jj, kk in planes:
+            a, g = _plane_data(_measured_first(rt, side), jj, kk, two_sided)
+            v = rng.standard_normal((len(a), 3))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            grad, hess = entropic._plane_derivatives(a, g, v)
+            eye = h * np.eye(3)
+            fd_grad = np.stack([(entropic._plane_value(a, g, (v + e)[:, None])
+                                 - entropic._plane_value(a, g, (v - e)[:, None]))[:, 0] / (2 * h)
+                                for e in eye], axis=1)
+            fd_hess = np.stack([(entropic._plane_derivatives(a, g, v + e)[0]
+                                 - entropic._plane_derivatives(a, g, v - e)[0]) / (2 * h)
+                                for e in eye], axis=2)
+            np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("two_sided", [True, False])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_plane_solve_never_lowers_the_objective(self, dims, side, two_sided, rank):
+        # on every plane: the solve's own value, and the whole objective after
+        # the rotation, which rises by exactly the plane's gain; on states of
+        # rank 1 and 2 an unchecked Newton step would lower some planes
+        rt, planes = self._planes(dims, side, rank)
+        sides = ("A", "B") if two_sided else (side,)
+        q = "AB".index(side)
+        for jj, kk in planes:
+            view = _measured_first(rt, side)
+            a, g = _plane_data(view, jj, kk, two_sided)
+            v = entropic._information_plane(a, g)
+            gain = (entropic._plane_value(a, g, v[:, None])[:, 0]
+                    - entropic._plane_value(a, g, np.eye(3)[:1])[:, 0])
+            assert np.all(gain >= 0.0)
+            moved = [np.tile(np.eye(n, dtype=complex), (self.RESTARTS, 1, 1)) for n in dims]
+            _jacobi_step(moved[q], view, jj, kk, two_sided, entropic._information_plane)
+            after = np.concatenate([rotated_states(x, *(u[i:i + 1] for u in moved))
+                                    for i, x in enumerate(rt)])
+            np.testing.assert_allclose(entropic._retained_informations(after, sides)
+                                       - entropic._retained_informations(rt, sides),
+                                       gain, rtol=0, atol=1e-12)
+
+
+class TestEntropicAgainstCompass:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_never_above_compass_reference(self, dims):
+        # from the same starts, the entropic Jacobi searches (two-sided, and
+        # one-sided on alternating sides) retain at least the compass
+        # search's information; 40 states over the four shapes
+        for seed in range(10):
+            rng = np.random.default_rng([43, seed, *dims])
+            state = random_bipartite(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1] + 1)))
+            r = state.reshaped()
+            cfg = OptimizerConfig(restarts=4, seed=seed)
+            for sides in (("A", "B"), ("AB"[seed % 2],)):
+                warm = warm_start_bases(state, sides)
+                jac = jacobi_search(r, sides, cfg, warm, RETAINED_INFORMATION)
+                ref = _compass_information(state, sides, cfg, warm)
+                assert jac.best_value >= ref.best_value - 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+def test_one_sided_entropic_search_certified_by_sphere_grid(dims):
+    # a measured qubit's bases are the Bloch sphere, one projective measurement
+    # per antipodal pair, so the objective's maximum over a projective grid of
+    # Bloch bases bounds the search's value from below
+    bases = np.array([td.bloch_basis(a).vectors for a in projective_grid(64)])
+    for seed in range(4):
+        state = td.random_state(*dims, rank=seed % (dims[0] * dims[1]) + 1, seed=seed)
+        r = state.reshaped()
+        oracle = _one_sided_information(r, bases, "A").max()
+        res = jacobi_search(r, ("A",), OptimizerConfig(restarts=8, seed=seed),
+                            warm_start_bases(state, ("A",)), RETAINED_INFORMATION)
+        assert res.best_value >= oracle - 1e-12
 
 
 class TestLocalUnitaryInvariance:
