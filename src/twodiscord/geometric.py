@@ -4,6 +4,7 @@ objective, spectral lower bounds, and closed forms for the named families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,12 +69,15 @@ class HermitianOperatorBasis:
         object.__setattr__(self, "operators", ops)
 
 
+@lru_cache(maxsize=16)
 def hermitian_operator_basis(dim: int) -> HermitianOperatorBasis:
     """Identity over sqrt(dim), then normalized generalized Gell-Mann matrices.
 
     Fixed order: symmetric pairs (j < k, row-major), antisymmetric pairs
     (same order), then the dim-1 diagonal matrices. For dim 2 this is exactly
-    {I, sigma_1, sigma_2, sigma_3}/sqrt(2).
+    {I, sigma_1, sigma_2, sigma_3}/sqrt(2). Each dimension's basis is built
+    and validated once and shared: the dataclass is frozen and its operators
+    are read-only.
     """
     if dim < 2:
         raise DomainError("dim must be >= 2")

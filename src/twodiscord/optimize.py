@@ -28,6 +28,7 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -614,27 +615,18 @@ def alternating_sphere_max(b: TwoQubitBloch, cfg: OptimizerConfig):
     return a, bv, value
 
 
-def sphere_grid(resolution: int) -> np.ndarray:
-    """Latitude-longitude grid: (resolution+1) latitudes, 2*resolution longitudes."""
-    theta = np.linspace(0.0, np.pi, resolution + 1)
-    phi = np.arange(2 * resolution) * (np.pi / resolution)
-    st, ct = np.sin(theta), np.cos(theta)
-    pts = np.empty(((resolution + 1) * 2 * resolution, 3))
-    pts[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    pts[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    pts[:, 2] = np.repeat(ct, 2 * resolution)
-    return pts
-
-
+@lru_cache(maxsize=16)
 def projective_grid(resolution: int) -> np.ndarray:
-    """One ``sphere_grid`` point per antipodal pair: R^2 - R + 1 directions.
+    """One direction per antipodal pair of a latitude-longitude grid:
+    R^2 - R + 1 unit vectors, as a read-only (R^2 - R + 1, 3) array.
 
-    The antipode of latitude i, longitude k is latitude R - i, longitude
-    k + R (mod 2R). The grid keeps the north pole, every latitude with
-    0 < 2i < R and, for even R, the first R longitudes of the equator, so an
-    objective even in each direction has the same maximum on it as on the
-    whole sphere grid. The points are built directly, from the same angles
-    and products as ``sphere_grid``, so they equal its selected rows exactly.
+    The whole-sphere grid has R + 1 latitudes theta_i = i pi / R and 2R
+    longitudes phi_k = k pi / R; the antipode of latitude i, longitude k is
+    latitude R - i, longitude k + R (mod 2R). This grid keeps the north
+    pole, every latitude with 0 < 2i < R and, for even R, the first R
+    longitudes of the equator, so an objective even in each direction has
+    the same maximum on it as on the whole sphere grid. Each resolution is
+    built once, on first use, and shared by every later call.
     """
     if resolution < 8:
         raise DomainError("resolution must be >= 8")
@@ -654,7 +646,13 @@ def projective_grid(resolution: int) -> np.ndarray:
         band[:, 1] = st[i] * sp[:n]
         band[:, 2] = ct[i]
         lo += n
+    pts.setflags(write=False)
     return pts
+
+
+# directions per block of the geometric oracle's bound, so that its
+# temporaries stay small next to the cached grid
+_GRID_CHUNK = 4096
 
 
 def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
@@ -665,24 +663,36 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
 
     The pairwise max is computed exactly with branch-and-bound pruning: for a
     fixed a the continuous maximum over b is a closed-form top eigenvalue of a
-    rank-2 form, which upper-bounds every grid value, so grid directions whose
-    bound cannot beat the incumbent are skipped without changing the result.
-    The direction with the largest bound sets the first incumbent; only the
-    directions whose bound exceeds it are sorted and scanned.
+    rank-2 form, which upper-bounds every grid value in that row, so grid
+    directions whose bound cannot beat the incumbent are skipped without
+    changing the result. The bound is computed in blocks of ``_GRID_CHUNK``
+    directions from one product of the grid with (x, y, T, T y); only a.x^2,
+    b.y^2 and the bound are kept for the whole grid. The direction with the
+    largest bound sets the first incumbent; only the directions whose bound
+    exceeds it are sorted and scanned.
     """
     pts = projective_grid(resolution)
     x, y, t = b.x, b.y, b.t
-    ax2 = (pts @ x) ** 2
-    by2 = (pts @ y) ** 2
-    w = pts @ t  # row i is a_i^T T, i.e. (T^t a_i)^t
+    # row a of pts @ cols is (a.x, a.y, a^T T, a^T T y)
+    cols = np.column_stack([x, y, t, t @ y])
+    n = len(pts)
+    ax2, by2, ub = np.empty(n), np.empty(n), np.empty(n)
     g11 = float(y @ y)
-    g22 = np.sum(w * w, axis=1)
-    g12 = w @ y
-    lam = 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12**2))
-    ub = ax2 + lam
+    for lo in range(0, n, _GRID_CHUNK):
+        rows = slice(lo, lo + _GRID_CHUNK)
+        q = (pts[rows] @ cols).T
+        ax2[rows] = q[0] ** 2
+        by2[rows] = q[1] ** 2
+        g22 = q[2] * q[2] + q[3] * q[3] + q[4] * q[4]  # |T^t a|^2
+        g12 = q[5]  # (T^t a).y
+        ub[rows] = ax2[rows] + 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12**2))
+    buf = np.empty(n)
 
     def value(i):
-        return ax2[i] + np.max(by2 + (pts @ w[i]) ** 2)
+        np.matmul(pts, pts[i] @ t, out=buf)
+        np.square(buf, out=buf)
+        np.add(buf, by2, out=buf)
+        return ax2[i] + buf.max()
 
     best = value(int(np.argmax(ub)))
     rest = np.nonzero(ub > best)[0]

@@ -4,15 +4,20 @@ import pytest
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord._contract import shannon_bits
-from twodiscord.optimize import sphere_grid
+from twodiscord.optimize import projective_grid
+from twodiscord.states import PAULI
 from twodiscord.verification import (
+    _holevo_rows,
     entropic_oracle_two_qubit,
     random_basis,
     random_bipartite,
     random_classical_classical,
     random_product_measurement,
     random_product_state,
+    random_zero_marginal_two_qubit,
 )
+
+from grid_reference import sphere_grid
 
 CFG = OptimizerConfig(restarts=16, seed=0)
 
@@ -163,33 +168,94 @@ class TestDiscordTwoSided:
         assert res.optimizer_report.restarts_run >= CFG.restarts
 
 
-def _entropic_oracle_reference(state, resolution):
-    """The oracle over every pair of whole-sphere grid points, each table whole."""
+def _retained_table(state, rows, cols):
+    """Retained information of the measured table for each pair of an A
+    direction in ``rows`` and a B direction in ``cols``, each table whole."""
     b = td.to_bloch(state)
-    pts = sphere_grid(resolution)
-    ax = (pts @ b.x)[:, None]
-    by = pts @ b.y
-    m = pts @ b.t @ pts.T
+    ax = (rows @ b.x)[:, None]
+    by = cols @ b.y
+    m = rows @ b.t @ cols.T
     p = 0.25 * np.stack([1 + ax + by + m, 1 + ax - by - m, 1 - ax + by - m, 1 - ax - by + m])
     np.clip(p, 0.0, None, out=p)
     ha = shannon_bits(np.stack([p[0] + p[1], p[2] + p[3]]), axis=0)
     hb = shannon_bits(np.stack([p[0] + p[2], p[1] + p[3]]), axis=0)
-    retained = ha + hb - shannon_bits(p, axis=0)
-    return td.mutual_information(state) - float(retained.max())
+    return ha + hb - shannon_bits(p, axis=0)
+
+
+def _entropic_oracle_reference(state, pts):
+    """The oracle over every pair of the directions ``pts``, no row skipped."""
+    best = max(_retained_table(state, pts[lo:lo + 128], pts).max()
+               for lo in range(0, len(pts), 128))
+    return td.mutual_information(state) - float(best)
+
+
+def _holevo_reference(state, a):
+    """S(rho_B) - sum_s p_s S(rho_B|s) after measuring A along a, from density
+    matrices: p_s and p_s rho_B|s are tr_A((P_s x I) rho), P_s = (I + s a.sigma) / 2."""
+    def s_bits(m):
+        return shannon_oracle(np.linalg.eigvalsh(m))
+
+    r = state.reshaped()
+    chi = s_bits(np.einsum("abac->bc", r))
+    sigma = np.einsum("i,ijk->jk", a, np.asarray(PAULI))
+    for s in (1, -1):
+        block = np.einsum("ij,jbic->bc", 0.5 * (np.eye(2) + s * sigma), r)
+        p = float(np.trace(block).real)
+        if p > 1e-14:
+            chi -= p * s_bits(block / p)
+    return chi
+
+
+def _oracle_states():
+    rng = np.random.default_rng(20)
+    plus = td.DensityMatrix(np.full((2, 2), 0.5))
+    zero = td.DensityMatrix(np.diag([1.0, 0.0]))
+    states = [td.random_state(2, 2, rank=rank, seed=seed)
+              for rank in (1, 2, 3, 4) for seed in (0, 1)]
+    # zero-marginal, classical-classical, product, and a pure marginal: the A
+    # pole leaves outcome - with probability 0
+    states += [td.bell_state(), random_zero_marginal_two_qubit(rng),
+               random_classical_classical(rng, 2, 2), random_product_state(rng, 2, 2),
+               td.tensor(zero, plus)]
+    return states
 
 
 class TestEntropicOracle:
-    @pytest.mark.parametrize("resolution", [8, 16, 32])
+    @pytest.mark.parametrize("resolution", [8, 16, 32, 48])
     def test_matches_full_grid_reference(self, resolution):
-        plus = td.DensityMatrix(np.full((2, 2), 0.5))
-        zero = td.DensityMatrix(np.diag([1.0, 0.0]))
-        states = [td.random_state(2, 2, rank=rank, seed=seed)
-                  for rank in (1, 2, 3, 4) for seed in (0, 1)]
-        states += [td.bell_state(), td.tensor(zero, plus)]
-        for st in states:
+        # the whole sphere grid, and at R = 48 every pair of the projective
+        # grid, which the pruned scan must reach unchanged
+        pts = sphere_grid(resolution) if resolution <= 32 else projective_grid(resolution)
+        for st in _oracle_states():
             assert entropic_oracle_two_qubit(st, resolution) == pytest.approx(
-                _entropic_oracle_reference(st, resolution), abs=1e-12
+                _entropic_oracle_reference(st, pts), abs=1e-12
             )
+
+    def test_holevo_rows_bound_every_row(self):
+        # the pruning is exact because no grid value in row a exceeds chi(a)
+        pts = projective_grid(16)
+        for rank in (1, 2, 3, 4):
+            for seed in range(3):
+                st = td.random_state(2, 2, rank=rank, seed=seed)
+                chi = _holevo_rows(td.to_bloch(st), pts)
+                rows = _retained_table(st, pts, sphere_grid(16)).max(axis=1)
+                assert np.all(chi >= rows - 1e-12)
+
+    def test_holevo_rows_match_density_matrices(self):
+        pts = projective_grid(8)
+        for st in _oracle_states():
+            chi = _holevo_rows(td.to_bloch(st), pts)
+            want = [_holevo_reference(st, a) for a in pts]
+            np.testing.assert_allclose(chi, want, rtol=0, atol=1e-10)
+
+    def test_pure_state_bound_is_flat(self):
+        # pure conditional states: chi(a) = S(rho_B) for every a, nothing pruned
+        pts = projective_grid(16)
+        for seed in range(3):
+            st = td.random_state(2, 2, rank=1, seed=seed)
+            s_b = td.entropy(td.partial_trace(st, "B"))
+            np.testing.assert_allclose(_holevo_rows(td.to_bloch(st), pts), s_b,
+                                       rtol=0, atol=1e-12)
 
     def test_bell_and_product_values(self):
         assert entropic_oracle_two_qubit(td.bell_state(), 16) == pytest.approx(1.0, abs=1e-12)

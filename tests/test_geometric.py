@@ -43,6 +43,12 @@ class TestOperatorBasis:
         coeffs = np.einsum("ab,iba->i", h, ops)
         np.testing.assert_allclose(np.einsum("i,iab->ab", coeffs, ops), h, atol=1e-10)
 
+    def test_built_once_per_dimension(self):
+        basis = td.hermitian_operator_basis(3)
+        assert td.hermitian_operator_basis(3) is basis
+        with pytest.raises(ValueError):
+            basis.operators[0, 0, 0] = 0.0
+
     def test_rejects_non_orthonormal(self):
         ops = td.hermitian_operator_basis(2).operators.copy()
         ops[1] = ops[2]

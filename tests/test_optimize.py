@@ -30,10 +30,11 @@ from twodiscord.optimize import (
     jacobi_search,
     maximize_over_bases,
     projective_grid,
-    sphere_grid,
     warm_start_bases,
 )
 from twodiscord.verification import random_bipartite
+
+from grid_reference import sphere_grid
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +721,12 @@ class TestProjectiveGrid:
         with pytest.raises(td.DomainError):
             projective_grid(resolution)
 
+    def test_built_once_and_read_only(self):
+        pts = projective_grid(16)
+        assert projective_grid(16) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+
     def test_grid_oracle_matches_full_grid(self):
         # brute force over every pair of whole-sphere grid points
         pts = sphere_grid(16)
@@ -729,3 +736,20 @@ class TestProjectiveGrid:
                 ((pts @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None] + (pts @ b.t @ pts.T) ** 2
             )
             assert td.sphere_grid_oracle(b, 16) == pytest.approx(full, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution, chunk", [(16, 64), (65, None)])
+    def test_grid_oracle_matches_brute_force_with_partial_last_chunk(
+            self, resolution, chunk, monkeypatch):
+        # 241 = 3 * 64 + 49 and 4161 = 4096 + 65 directions
+        if chunk is not None:
+            monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+        pts = projective_grid(resolution)
+        assert len(pts) % optimize._GRID_CHUNK
+        for seed in range(4):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed + 1, seed=seed))
+            full = max(
+                np.max(((pts[lo:lo + 512] @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None]
+                       + (pts[lo:lo + 512] @ b.t @ pts.T) ** 2)
+                for lo in range(0, len(pts), 512)
+            )
+            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(full, abs=1e-15)
