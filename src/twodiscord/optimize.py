@@ -1,24 +1,20 @@
 """Search over measurement bases.
 
-Every search iterates the measurement unitaries themselves and runs its
-starts in lockstep, so each step is one batched computation. The starts
+Every basis search iterates the measurement unitaries themselves and runs
+its starts in lockstep, so each step is one batched computation. The starts
 are the warm starts of ``warm_start_bases``, the same in every dimension,
 then Haar random restarts (``_start_points``). ``_lockstep`` runs the
-starts of both engines and holds the iteration cap, the retire rule and
-the winner rule; each engine supplies only its step:
+starts and holds the iteration cap, the retire rule and the winner rule;
+the one engine, ``jacobi_search``, supplies the step.
 
-- ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
-  rotates a round of disjoint Givens planes, each by the rotation its
-  objective's plane solve picks from the plane data of ``_plane_data``.
-  In one plane the moved rows or blocks are affine in a unit 3-vector v.
-  The retained purity (``RETAINED_PURITY``) is then a quadratic form in v,
-  solved exactly by one 3x3 eigenproblem (Cardoso & Souloumiac 1996); the
-  entropic objectives (``entropic.RETAINED_INFORMATION``) take the best
-  point of a small grid and one Riemannian Newton step (``plane_ascent``).
-- ``compass_search`` is a compass (pattern) search that polls closed-form
-  Givens rotations; it serves only verification's independent
-  correlation-matrix route, through ``maximize_over_bases``, which builds
-  each candidate's unitaries.
+``jacobi_search`` runs every discord search as Jacobi sweeps: each step
+rotates a round of disjoint Givens planes, each by the rotation its
+objective's plane solve picks from the plane data of ``_plane_data``. In
+one plane the moved rows or blocks are affine in a unit 3-vector v. The
+retained purity (``RETAINED_PURITY``) is then a quadratic form in v, solved
+exactly by one 3x3 eigenproblem (Cardoso & Souloumiac 1996); the entropic
+objectives (``entropic.RETAINED_INFORMATION``) take the best point of a
+small grid and one Riemannian Newton step (``plane_ascent``).
 
 The two-qubit alternation on the Bloch objective keeps its own loop: its
 starts are Bloch vectors, it never retires, and it shares only the winner
@@ -38,15 +34,12 @@ from .errors import DomainError
 from .measurement import _haar_from_ginibre
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
 
-_INITIAL_STEP = 0.25
-# a start stops at the iteration cap (compass rounds, Jacobi sweeps or alternation
-# steps), when an accepted rise falls below the value tolerance or, in the compass
-# search, when its step falls below the step tolerance
+# a start stops at the iteration cap (Jacobi sweeps or alternation steps), or
+# when an iteration raises its value by less than the value tolerance
 _MAX_ITERATIONS = 500
-_STEP_TOLERANCE = 1e-10
 _VALUE_TOLERANCE = 1e-12
 # restarts trailing the incumbent best by less than this are retired early;
-# the retained leader still refines down to the tolerances above
+# the retained leader still refines down to the value tolerance
 _RETIRE_LAG = 1e-8
 
 
@@ -97,7 +90,7 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the lockstep loop over starts, shared by both basis-search engines
+# the lockstep loop over the starts of a basis search
 
 def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side.
@@ -175,153 +168,6 @@ def _lockstep(points, values, advance) -> OptimizationResult:
         iterations_total=int(iters.sum()),
         converged=bool(converged[best]),
     )
-
-
-# ---------------------------------------------------------------------------
-# compass search over unitaries
-
-def _givens_planes(dims):
-    """The Givens poll directions over a product of unitary groups of sizes ``dims``.
-
-    Returns arrays (side, j, k, mult_j, mult_k, sign), one entry per
-    direction. A direction rotates columns j < k of one side's unitary:
-    column j becomes c u_j + mult_j s u_k and column k becomes
-    mult_k s u_j + c u_k, with c, s the cosine and sine of sign times the
-    step. (mult_j, mult_k) = (-1, 1) is the real generator E_jk - E_kj and
-    (i, i) the imaginary one i(E_jk + E_kj). Directions run side by side,
-    the real planes then the imaginary ones (row-major over j < k), all with
-    sign +1, then the same list with sign -1; 2 n(n-1) directions per side.
-    """
-    side, j, k, mult_j, mult_k = [], [], [], [], []
-    for q, n in enumerate(dims):
-        jq, kq = np.triu_indices(n, k=1)
-        for mj, mk in ((-1.0, 1.0), (1j, 1j)):
-            side += [q] * len(jq)
-            j += list(jq)
-            k += list(kq)
-            mult_j += [mj] * len(jq)
-            mult_k += [mk] * len(jq)
-    half = len(side)
-    sign = np.concatenate([np.ones(half), -np.ones(half)])
-    return tuple(np.tile(np.asarray(v), 2) for v in (side, j, k, mult_j, mult_k)) + (sign,)
-
-
-def _rotate_columns(uj, uk, c, s, mult_j, mult_k):
-    """Columns j and k after the Givens rotation of one direction (see ``_givens_planes``)."""
-    return c * uj + mult_j * s * uk, mult_k * s * uj + c * uk
-
-
-def _givens_poll(bases, steps, planes):
-    """Candidates U G for each restart's unitaries and each Givens direction.
-
-    ``bases`` holds one (R, n, n) unitary stack per side; the result holds one
-    (R * D, n, n) stack per side, restart-major, where D is the number of
-    directions in ``planes``. A candidate differs from its base only in the
-    two columns its direction rotates, on its direction's side.
-    """
-    side, j, k, mult_j, mult_k, sign = planes
-    ndir = len(sign)
-    ang = steps[:, None] * sign[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
-    out = []
-    for q, u in enumerate(bases):
-        r, n, _ = u.shape
-        cand = np.repeat(u[:, None], ndir, axis=1)
-        d = np.nonzero(side == q)[0]
-        jq, kq = j[d], k[d]
-        # advanced indices on axes 1 and 3 put the direction axis first: (Dq, R, n)
-        cand[:, d, :, jq], cand[:, d, :, kq] = _rotate_columns(
-            u[:, :, jq].transpose(2, 0, 1), u[:, :, kq].transpose(2, 0, 1),
-            cos[:, d].T[:, :, None], sin[:, d].T[:, :, None],
-            mult_j[d, None, None], mult_k[d, None, None],
-        )
-        out.append(cand.reshape(r * ndir, n, n))
-    return out
-
-
-def _rotate_accepted(points, rows, dirs, steps, planes):
-    """Apply direction ``dirs[i]`` at step ``steps[i]`` to restart ``rows[i]``, in place."""
-    side, j, k, mult_j, mult_k, sign = planes
-    ang = steps * sign[dirs]
-    cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
-    for q, u in enumerate(points):
-        on = side[dirs] == q
-        r, d = rows[on], dirs[on]
-        # advanced indices on axes 0 and 2 give (len(r), n) column stacks
-        u[r, :, j[d]], u[r, :, k[d]] = _rotate_columns(
-            u[r, :, j[d]], u[r, :, k[d]], cos[on], sin[on], mult_j[d, None], mult_k[d, None]
-        )
-
-
-class _CandidatePolls:
-    """Scores polls by building every candidate's unitaries for ``batch_eval``.
-
-    ``batch_eval(*stacks)`` maps one (N, n, n) stack of unitaries per side to
-    N objective values.
-    """
-
-    def __init__(self, batch_eval):
-        self.batch_eval = batch_eval
-
-    def values(self, points):
-        return np.asarray(self.batch_eval(*points), dtype=float)
-
-    def poll(self, points, steps, planes):
-        cand = _givens_poll(points, steps, planes)
-        return np.asarray(self.batch_eval(*cand), dtype=float).reshape(len(steps), -1)
-
-
-def compass_search(scorer, dims, cfg: OptimizerConfig, warm_starts=()) -> OptimizationResult:
-    """Maximize an objective over measurement bases, one per side, by compass search.
-
-    A point is a tuple of unitaries, one per measured side with sizes
-    ``dims``, whose columns are the basis vectors; ``_lockstep`` runs the
-    starts of ``_start_points``.
-
-    ``scorer`` evaluates the objective: ``scorer.values(points)`` maps one
-    (R, n, n) stack per side to R values, and ``scorer.poll(points, steps,
-    planes)`` maps the same stacks, R step sizes and the directions of
-    ``_givens_planes`` to the (R, D) values of every restart's polled
-    candidates.
-
-    Each round is one scorer call. A poll is U G for a closed-form Givens
-    rotation G in one plane of one side (see ``_givens_planes``), so
-    candidates need no matrix exponential. Each running start accepts its
-    best polled candidate (the lowest direction index on ties) by rotating
-    its own two columns and doubles its step, up to the initial step, or
-    halves its step on failure. It stops converged when an accepted rise
-    falls below ``_VALUE_TOLERANCE`` or its step falls below
-    ``_STEP_TOLERANCE``. ``iterations_total`` counts poll rounds.
-    """
-    points = _start_points(dims, cfg, list(warm_starts))
-    planes = _givens_planes(dims)
-    values = scorer.values(points)
-    steps = np.full(len(values), _INITIAL_STEP)
-
-    def poll_round(idx):
-        vals = scorer.poll([p[idx] for p in points], steps[idx], planes)
-        best_j = np.argmax(vals, axis=1)
-        best_v = vals[np.arange(len(idx)), best_j]
-        imp = best_v - values[idx]
-        acc = imp > 0
-        up = idx[acc]
-        values[up] = best_v[acc]
-        _rotate_accepted(points, up, best_j[acc], steps[up], planes)
-        steps[up] = np.minimum(2.0 * steps[up], _INITIAL_STEP)
-        steps[idx[~acc]] *= 0.5
-        return np.where(acc, imp < _VALUE_TOLERANCE, steps[idx] < _STEP_TOLERANCE)
-
-    return _lockstep(points, values, poll_round)
-
-
-def maximize_over_bases(batch_eval, dims, cfg: OptimizerConfig,
-                        warm_starts=()) -> OptimizationResult:
-    """``compass_search`` of a batched objective over measurement bases.
-
-    ``batch_eval(*stacks)`` maps one (N, n, n) stack of candidate unitaries
-    per side to N objective values; every polled candidate is built.
-    """
-    return compass_search(_CandidatePolls(batch_eval), dims, cfg, warm_starts)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +324,14 @@ def _rotations(v):
     v = np.where(v[..., :1] < 0, -v, v)
     theta = 0.5 * np.arccos(np.clip(v[..., 0], -1.0, 1.0))
     return np.cos(theta), np.sin(theta), np.exp(1j * np.arctan2(v[..., 2], v[..., 1]))
+
+
+def _rotate_columns(uj, uk, c, s, mult_j, mult_k):
+    """Columns j and k of a basis after a rotation in their plane: column j
+    becomes c u_j + mult_j s u_k and column k becomes mult_k s u_j + c u_k.
+    ``_jacobi_step`` takes (mult_j, mult_k) = (e^{i phi}, -e^{-i phi}) from
+    ``_rotations``, which makes the rotation unitary."""
+    return c * uj + mult_j * s * uk, mult_k * s * uj + c * uk
 
 
 def _jacobi_step(u, view, j, k, two_sided, solve):

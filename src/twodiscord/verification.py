@@ -49,7 +49,7 @@ from .measurement import (
 from .optimize import (
     OptimizerConfig,
     alternating_sphere_max,
-    maximize_over_bases,
+    jacobi_search,
     projective_grid,
     sphere_grid_oracle,
 )
@@ -233,24 +233,22 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
 
 
 def geo_two_sided_via_correlation(state: BipartiteState, cfg: OptimizerConfig) -> float:
-    """Two-sided geometric discord through the real correlation-matrix form.
+    """Two-sided geometric discord through the real correlation-matrix form
+    tr(C C^t) - max tr(A C B^t B C^t A^t) (objective (27)).
 
-    Independent route: expands the state and the candidate projectors in
-    Hermitian operator bases and maximizes the quadratic form directly.
+    Independent route: it reads the state only through ``correlation_matrix``.
+    The Jacobi sweeps run on the state that C expands to,
+    sum_ij C_ij X_i (x) Y_j, whose dephased table in bases (U_A, U_B) is
+    A C B^t, so they maximize objective (27) itself; the winning bases are
+    then scored by ``measurement_matrix`` and ``objective27``.
     """
-    na, nb = state.dim_a, state.dim_b
     cd = correlation_matrix(state)
-    xa, xb, c = cd.basis_a.operators, cd.basis_b.operators, cd.c
-
-    def batch(ua, ub):
-        a = np.einsum("nao,iac,nco->noi", ua.conj(), xa, ua).real
-        b = np.einsum("nbo,jbd,ndo->noj", ub.conj(), xb, ub).real
-        g = np.einsum("noi,ij,npj->nop", a, c, b)
-        return np.sum(g * g, axis=(1, 2))
-
-    identity = (np.eye(na, dtype=complex), np.eye(nb, dtype=complex))
-    res = maximize_over_bases(batch, (na, nb), cfg, warm_starts=[identity])
-    return float(np.sum(c * c) - res.best_value)
+    r_c = np.einsum("ij,iac,jbd->abcd", cd.c, cd.basis_a.operators, cd.basis_b.operators)
+    identity = (np.eye(state.dim_a, dtype=complex), np.eye(state.dim_b, dtype=complex))
+    ua, ub = jacobi_search(r_c, ("A", "B"), cfg, [identity]).best_params
+    a_mat = measurement_matrix(OrthonormalBasis(ua), cd.basis_a)
+    b_mat = measurement_matrix(OrthonormalBasis(ub), cd.basis_b)
+    return float(np.sum(cd.c * cd.c) - objective27(cd, a_mat, b_mat))
 
 
 def zero_marginal_geo_closed(b: TwoQubitBloch) -> float:

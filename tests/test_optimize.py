@@ -11,12 +11,10 @@ from twodiscord import OptimizerConfig
 from twodiscord import optimize
 from twodiscord import entropic
 from twodiscord import geometric
-from twodiscord._contract import entropy_of_spectra, rotated_states, shannon_bits
+from twodiscord._contract import rotated_states, shannon_bits
 from twodiscord.entropic import RETAINED_INFORMATION
 from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
-    _givens_planes,
-    _givens_poll,
     _alternating_detail,
     _jacobi_step,
     _measured_first,
@@ -26,115 +24,24 @@ from twodiscord.optimize import (
     _round_robin,
     _start_points,
     bloch_pair_objective,
-    compass_search,
     jacobi_search,
-    maximize_over_bases,
     projective_grid,
     warm_start_bases,
 )
 from twodiscord.verification import random_bipartite
 
+from compass_reference import (
+    TablePolls,
+    _compass_information,
+    _givens_planes,
+    _givens_poll,
+    _one_sided_information,
+    _plane_rows,
+    _side_blocks,
+    compass_search,
+    maximize_over_bases,
+)
 from grid_reference import sphere_grid
-
-
-# ---------------------------------------------------------------------------
-# compass-search references for the Jacobi searches: a two-sided scorer by
-# two-row table updates and the one-sided entropic objective from its blocks
-
-def _side_blocks(r, u, side):
-    """Blocks <o|rho|o> on the measured side for each basis in an (N, n, n) stack.
-
-    Side A gives (N, na, nb, nb) blocks, side B gives (N, nb, na, na).
-    """
-    n, d = u.shape[0], u.shape[1]
-    rows = np.einsum("nao,nco->noac", u.conj(), u).reshape(n * d, d * d)
-    rm = r.transpose(0, 2, 1, 3) if side == "A" else r.transpose(1, 3, 0, 2)
-    m = rm.shape[2]
-    return (rows @ rm.reshape(d * d, m * m)).reshape(n, d, m, m)
-
-
-def _plane_rows(p, g, cos, sin, j, k, mult_j, mult_k):
-    """Tables after a Givens rotation of rows j and k, one per direction.
-
-    ``p`` is the (R, n, m) base table and ``g[r, a, c, x]`` the entry (a, c)
-    of the Hermitian block of column x, so ``p[r, a, x] = g[r, a, a, x]``.
-    Column j of the basis becomes c e_j + mult_j s e_k and column k becomes
-    mult_k s e_j + c e_k, so row j becomes c^2 H_jj + s^2 H_kk +
-    2cs Re(mult_j H_jk) and row k becomes s^2 H_jj + c^2 H_kk +
-    2cs Re(conj(mult_k) H_jk). ``cos`` and ``sin`` are (R, D); the result is
-    (R, D, n, m).
-    """
-    c, s = cos[..., None], sin[..., None]
-    hjj, hkk, hjk = p[:, j], p[:, k], g[:, j, k]
-    cross = 2.0 * c * s
-    d = np.arange(len(j))
-    out = np.repeat(p[:, None], len(j), axis=1)
-    out[:, d, j] = c * c * hjj + s * s * hkk + cross * (mult_j[:, None] * hjk).real
-    out[:, d, k] = s * s * hjj + c * c * hkk + cross * (mult_k.conj()[:, None] * hjk).real
-    return out
-
-
-class TablePolls:
-    """A ``compass_search`` scorer of two-sided Givens polls by two-row table updates.
-
-    ``score`` maps an (N, na, nb) stack of tables, negatives clipped to 0,
-    to N values. Per round each restart's state is rotated into its current
-    bases once; the blocks rho~[:, beta, :, beta] (side A) and
-    rho~[alpha, :, alpha, :] (side B) give every candidate's two new rows
-    or columns.
-    """
-
-    def __init__(self, r, score):
-        self.r = r
-        self.na, self.nb = r.shape[0], r.shape[1]
-        self.score = score
-
-    def values(self, points):
-        p = np.einsum("rabab->rab", rotated_states(self.r, *points)).real
-        return self.score(np.maximum(p, 0.0))
-
-    def tables(self, points, steps, planes):
-        """(R, D, na, nb) candidate tables for the directions of ``_givens_planes``."""
-        side, j, k, mult_j, mult_k, sign = planes
-        ang = steps[:, None] * sign[None, :]
-        cos, sin = np.cos(ang), np.sin(ang)
-        rt = rotated_states(self.r, *points)
-        p = np.einsum("rabab->rab", rt).real
-        out = np.empty((len(steps), len(sign), self.na, self.nb))
-        on_a, on_b = side == 0, side == 1
-        out[:, on_a] = _plane_rows(
-            p, np.einsum("rabcb->racb", rt), cos[:, on_a], sin[:, on_a],
-            j[on_a], k[on_a], mult_j[on_a], mult_k[on_a],
-        )
-        out[:, on_b] = _plane_rows(
-            p.transpose(0, 2, 1), np.einsum("rabad->rbda", rt), cos[:, on_b], sin[:, on_b],
-            j[on_b], k[on_b], mult_j[on_b], mult_k[on_b],
-        ).transpose(0, 1, 3, 2)
-        return np.maximum(out, 0.0, out=out)
-
-    def poll(self, points, steps, planes):
-        t = self.tables(points, steps, planes)
-        return self.score(t.reshape(-1, self.na, self.nb)).reshape(t.shape[:2])
-
-
-def _one_sided_information(r, u, side):
-    """H(p) - sum_o S(<o|rho|o>) for each basis in an (N, n, n) stack, p_o the
-    blocks' traces: the one-sided entropic objective, from the blocks alone."""
-    blocks = _side_blocks(r, u, side)
-    nn, n, k = blocks.shape[:3]
-    s_joint = entropy_of_spectra(np.linalg.eigvalsh(blocks).reshape(nn, n * k))
-    p_marg = np.einsum("nokk->no", blocks).real
-    return shannon_bits(np.where(p_marg < 0, 0.0, p_marg), axis=-1) - s_joint
-
-
-def _compass_information(state, sides, cfg, warm):
-    """The compass search of an entropic objective from the given starts."""
-    r = state.reshaped()
-    if len(sides) == 2:
-        return compass_search(TablePolls(r, entropic._retained_information),
-                              (state.dim_a, state.dim_b), cfg, warm)
-    return maximize_over_bases(lambda u: _one_sided_information(r, u, sides[0]),
-                               (r.shape["AB".index(sides[0])],), cfg, warm)
 
 
 class TestConfig:
@@ -169,21 +76,11 @@ class TestMaximizeOverBases:
         (u,) = res.best_params
         np.testing.assert_allclose(np.abs(target.conj().T @ u), np.eye(3), atol=1e-5)
 
-    def test_warm_start_wins_tie_break(self):
-        # a warm start sitting on the unique maximum occupies the lowest index,
-        # so it must be the reported winner, bit for bit
-        def batch(u):
-            return -np.sum(np.abs(u - np.eye(2)) ** 2, axis=(1, 2))
-
-        res = maximize_over_bases(batch, (2,), OptimizerConfig(restarts=4, seed=0),
-                                  warm_starts=[(np.eye(2),)])
-        assert res.best_value == 0.0
-        np.testing.assert_array_equal(res.best_params[0], np.eye(2))
-
 
 class TestLockstep:
     def test_both_engines_stop_at_the_iteration_cap(self, monkeypatch):
-        # every start of both unitary engines runs to the cap, so each reports
+        # every start of the Jacobi searches and of the compass reference,
+        # which shares their lockstep loop, runs to the cap, so each reports
         # cap x starts iterations and a winner that did not converge; the
         # entropic Jacobi searches count sweeps against the same cap
         monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
@@ -201,7 +98,7 @@ class TestLockstep:
         with pytest.raises(td.DomainError):
             jacobi_search(r, ("A", "B"), OptimizerConfig(restarts=2))
         with pytest.raises(td.DomainError):
-            maximize_over_bases(lambda ua, ub: np.zeros(len(ua)), dims, OptimizerConfig(restarts=2))
+            jacobi_search(r, ("AB"[dims.index(1)],), OptimizerConfig(restarts=2))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_warm_starts_follow_one_rule_in_every_dimension(self, dims):
@@ -283,28 +180,6 @@ class TestGivensPolls:
                 gen[j[d], k[d]] = gen[k[d], j[d]] = 1j
             want = bases[q][0] @ scipy.linalg.expm(sign[d] * step * gen)
             np.testing.assert_allclose(cand[q][d], want, atol=1e-14)
-
-    def test_two_sided_search_deterministic_given_seed(self):
-        # the two-sided and both one-sided geometric searches repeat bit for bit
-        st = td.random_state(3, 3, rank=9, seed=12)
-        cfg = OptimizerConfig(restarts=8, seed=5)
-        r1 = td.geo_discord_two_sided(st, cfg)
-        r2 = td.geo_discord_two_sided(st, cfg)
-        assert r1.value == r2.value
-        for side in ("basis_a", "basis_b"):
-            assert np.array_equal(getattr(r1.optimal_measurement, side).vectors,
-                                  getattr(r2.optimal_measurement, side).vectors)
-        pairs = [(r1, r2)]
-        for side in ("A", "B"):
-            o1 = td.geo_discord_one_sided(st, side, cfg)
-            o2 = td.geo_discord_one_sided(st, side, cfg)
-            assert o1.value == o2.value
-            assert np.array_equal(o1.optimal_measurement.vectors, o2.optimal_measurement.vectors)
-            pairs.append((o1, o2))
-        for a, b in pairs:
-            rep1, rep2 = a.optimizer_report, b.optimizer_report
-            assert (rep1.restarts_run, rep1.iterations_total) == (rep2.restarts_run,
-                                                                  rep2.iterations_total)
 
 
 def _full_contraction_tables(r, ua, ub):
@@ -446,6 +321,44 @@ class TestJacobiStep:
             for cand in cands.values():
                 vals = _one_sided_purity(r, cand, side).reshape(self.RESTARTS, -1)
                 assert np.all(vals[:, in_plane].max(axis=1) <= want + 1e-13)
+
+
+class TestJacobiSearch:
+    def test_warm_start_wins_tie_break(self):
+        # a classical-classical state in computational bases keeps its whole
+        # purity at the identity warm start, which every other start can only
+        # tie; the winner is the warm start, bit for bit
+        p = np.array([[0.4, 0.1, 0.05], [0.2, 0.15, 0.1]])
+        r = td.classical_classical(p, td.computational_basis(2),
+                                   td.computational_basis(3)).reshaped()
+        identity = (np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+        res = jacobi_search(r, ("A", "B"), OptimizerConfig(restarts=4, seed=0), [identity])
+        assert res.best_value == pytest.approx(np.sum(p * p), abs=1e-15)
+        assert res.converged
+        for u, want in zip(res.best_params, identity, strict=True):
+            np.testing.assert_array_equal(u, want)
+
+    def test_two_sided_search_deterministic_given_seed(self):
+        # the two-sided and both one-sided geometric searches repeat bit for bit
+        st = td.random_state(3, 3, rank=9, seed=12)
+        cfg = OptimizerConfig(restarts=8, seed=5)
+        r1 = td.geo_discord_two_sided(st, cfg)
+        r2 = td.geo_discord_two_sided(st, cfg)
+        assert r1.value == r2.value
+        for side in ("basis_a", "basis_b"):
+            assert np.array_equal(getattr(r1.optimal_measurement, side).vectors,
+                                  getattr(r2.optimal_measurement, side).vectors)
+        pairs = [(r1, r2)]
+        for side in ("A", "B"):
+            o1 = td.geo_discord_one_sided(st, side, cfg)
+            o2 = td.geo_discord_one_sided(st, side, cfg)
+            assert o1.value == o2.value
+            assert np.array_equal(o1.optimal_measurement.vectors, o2.optimal_measurement.vectors)
+            pairs.append((o1, o2))
+        for a, b in pairs:
+            rep1, rep2 = a.optimizer_report, b.optimizer_report
+            assert (rep1.restarts_run, rep1.iterations_total) == (rep2.restarts_run,
+                                                                  rep2.iterations_total)
 
 
 class TestJacobiAgainstCompass:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twodiscord as td
 from twodiscord import OptimizerConfig, geometric
 from twodiscord import verification as V
 
@@ -62,6 +63,33 @@ def test_two_qubit_checks_judge_the_alternation(monkeypatch):
 
     monkeypatch.setattr(geometric, "_alternating_detail", off)
     assert not V.check_bloch_special_cases(CFG, n=5).passed
+    assert not V.check_bell_routes(CFG).passed
+
+
+def test_correlation_route_matches_bloch_alternation_on_two_qubits():
+    # generic states, whose optimal bases are not the computational ones, so
+    # the route matches only when its sweeps search
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for seed in range(20):
+        st = td.random_state(2, 2, rank=seed % 4 + 1, seed=seed)
+        want = geometric.two_qubit_geo(td.to_bloch(st), cfg).value
+        assert V.geo_two_sided_via_correlation(st, cfg) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_correlation_route_matches_dephased_purity_route(dims):
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for seed in range(8):
+        st = td.random_state(*dims, rank=seed % (dims[0] * dims[1]) + 1, seed=seed)
+        want = geometric.geo_discord_two_sided(st, cfg).value
+        assert V.geo_two_sided_via_correlation(st, cfg) == pytest.approx(want, abs=1e-10)
+
+
+def test_bell_routes_judge_the_correlation_route(monkeypatch):
+    # an objective (27) off by 0.01 moves the correlation route's Bell value
+    # by 0.01, which check_bell_routes must catch
+    objective = V.objective27
+    monkeypatch.setattr(V, "objective27", lambda cd, a, b: objective(cd, a, b) + 0.01)
     assert not V.check_bell_routes(CFG).passed
 
 
