@@ -18,16 +18,12 @@ import numpy as np
 
 from .entropic import discord_one_sided, discord_two_sided, mutual_information
 from .errors import DiscordError, DomainError
-from .geometric import (
-    geo_discord_one_sided,
-    geo_discord_two_sided,
-    isotropic_geo_closed,
-    werner_geo_closed,
-)
+from .geometric import geo_discord_one_sided, geo_discord_two_sided
 from .optimize import OptimizerConfig
 from .serialize import load_state
-from .states import isotropic, purity, werner
+from .states import purity
 from .verification import (
+    CLOSED_FORMS,
     audit_states,
     entropic_margins,
     geometric_margins,
@@ -48,13 +44,13 @@ class SweepSpec:
     points: int
 
     def __post_init__(self):
-        if self.family not in ("werner", "isotropic"):
+        if self.family not in CLOSED_FORMS:
             raise DomainError(f"unknown family {self.family!r}")
         if self.m < 2:
             raise DomainError("m must be >= 2")
         if self.points < 2:
             raise DomainError("points must be >= 2")
-        lo, hi = (-1.0, 1.0) if self.family == "werner" else (0.0, 1.0)
+        lo, hi = CLOSED_FORMS[self.family][2]
         if not (lo <= self.x_start <= self.x_end <= hi):
             raise DomainError(
                 f"x range [{self.x_start}, {self.x_end}] outside [{lo}, {hi}]"
@@ -144,8 +140,7 @@ def cmd_compute(args) -> int:
 def cmd_sweep(args) -> int:
     spec = SweepSpec(args.family, args.m, args.x_start, args.x_end, args.points)
     cfg = _config(args)
-    make = werner if spec.family == "werner" else isotropic
-    closed = werner_geo_closed if spec.family == "werner" else isotropic_geo_closed
+    make, closed, _ = CLOSED_FORMS[spec.family]
     lines = ["family,m,x,geo_closed,geo_numeric,lower_bound,abs_gap"]
     ok = True
     for x in np.linspace(spec.x_start, spec.x_end, spec.points):
@@ -208,7 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sweep", help="CSV sweep of a closed-form family")
-    p.add_argument("--family", choices=("werner", "isotropic"), required=True)
+    p.add_argument("--family", choices=tuple(CLOSED_FORMS), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x-start", type=float, required=True)
     p.add_argument("--x-end", type=float, required=True)

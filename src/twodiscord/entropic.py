@@ -6,7 +6,9 @@ Both discords maximize a retained information over measurement bases by
 the moved rows of the dephased table, or the moved blocks of the measured
 side, are a +- X with X linear in a unit 3-vector v; the objective moves by
 phi(a + X) + phi(a - X), whose closed-form derivatives in v drive the plane
-solve's Newton step (``optimize.plane_ascent``).
+solve's Newton step (``optimize.plane_ascent``). ``shannon_bits`` and
+``entropy_of_spectra`` are the entropies here and in ``verification``, with
+one floor for 0 log 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import EIG_FLOOR, entropy_of_spectra, shannon_bits
 from .measurement import (
     ProductMeasurement,
     _basis_unchecked,
@@ -27,12 +28,13 @@ from .optimize import (
     OptimizationResult,
     OptimizerConfig,
     PlaneObjective,
-    _measured_first,
     jacobi_search,
     plane_ascent,
     warm_start_bases,
 )
 from .states import BipartiteState, DensityMatrix, partial_trace
+
+EIG_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,18 @@ class DiscordValue:
     value: float
     optimal_measurement: object  # ProductMeasurement, or OrthonormalBasis for one-sided
     optimizer_report: OptimizationResult
+
+
+def shannon_bits(p: np.ndarray, axis) -> np.ndarray:
+    """-sum p log2 p with the 0 log 0 = 0 convention (floor ``EIG_FLOOR``)."""
+    safe = np.where(p < EIG_FLOOR, 1.0, p)
+    return -np.sum(p * np.log2(safe), axis=axis)
+
+
+def entropy_of_spectra(w: np.ndarray, axis=-1) -> np.ndarray:
+    """Entropy in bits from (possibly slightly negative) eigenvalue stacks."""
+    w = np.where(w < 0, 0.0, w)
+    return shannon_bits(w, axis)
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -91,20 +105,18 @@ def loss_split(state: BipartiteState, m: ProductMeasurement):
 # ---------------------------------------------------------------------------
 # the retained information as a Jacobi objective
 
-def _retained_informations(rt, sides):
-    """The objective of the entropic searches for each state in an
-    (R, na, nb, na, nb) stack in its current bases.
+def _retained_informations(d):
+    """The objective of the entropic searches for each table or set of
+    blocks in a stack from ``optimize._dephased``.
 
-    Two sides: ``_retained_information`` of the dephased table. One side:
-    the sum of ``_phi`` over the spectra of the blocks <o|rho~|o> of the
-    measured side, H(p) - sum_o S(<o|rho~|o>) with p_o their traces, the
-    negated conditional-entropy gap.
+    Two sides (tables): ``_retained_information``. One side: the sum of
+    ``_phi`` over the spectra of the blocks <o|rho~|o> of the measured side,
+    H(p) - sum_o S(<o|rho~|o>) with p_o their traces, the negated
+    conditional-entropy gap.
     """
-    if len(sides) == 2:
-        p = np.einsum("rabab->rab", rt).real
-        return _retained_information(np.maximum(p, 0.0))
-    blocks = np.einsum("rabac->rabc", _measured_first(rt, sides[0]))
-    return _phi(np.linalg.eigvalsh(blocks)).sum(axis=-1)
+    if d.ndim == 3:
+        return _retained_information(np.maximum(d, 0.0))
+    return _phi(np.linalg.eigvalsh(d)).sum(axis=-1)
 
 
 def _phi(lam):

@@ -297,10 +297,11 @@ def two_qubit_geo(b, cfg: OptimizerConfig) -> GeoResult:
     """
     state = from_bloch(b)  # PSD check happens here
     total = 0.25 * (b.x @ b.x + b.y @ b.y + np.sum(b.t * b.t))
-    a_opt, bv_opt, best, report = _alternating_detail(b, cfg)
+    report = _alternating_detail(b, cfg)
+    a_opt, bv_opt = report.best_params
     cd = correlation_matrix(state)
     return GeoResult(
-        value=float(total - 0.25 * best),
+        value=float(total - 0.25 * report.best_value),
         optimal_measurement=ProductMeasurement(bloch_basis(a_opt), bloch_basis(bv_opt)),
         lower_bound=lower_bound_two_sided(cd),
         optimizer_report=report,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotUnitVectorError
-from .states import PAULI, BipartiteState, DensityMatrix, _ginibre_matrix
+from .states import PAULI, BipartiteState, DensityMatrix, _ginibre_matrix, classical_classical
 
 UNITARY_TOL = 1e-10
 
@@ -135,10 +135,7 @@ def dephase_one_sided(state: BipartiteState, basis: OrthonormalBasis, side: str)
 
 def dephase_two_sided(state: BipartiteState, m: ProductMeasurement) -> BipartiteState:
     """sum_ab Pi_ab rho Pi_ab; diagonal in the product basis."""
-    p = diagonal_distribution(state, m)
-    w = np.kron(m.basis_a.vectors, m.basis_b.vectors)
-    rho = (w * p.reshape(-1)) @ w.conj().T
-    return BipartiteState(state.dim_a, state.dim_b, DensityMatrix(rho))
+    return classical_classical(diagonal_distribution(state, m), m.basis_a, m.basis_b)
 
 
 def diagonal_distribution(state: BipartiteState, m: ProductMeasurement) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Search over measurement bases.
 
-Every basis search iterates the measurement unitaries themselves and runs
-its starts in lockstep, so each step is one batched computation. The starts
-are the warm starts of ``warm_start_bases``, the same in every dimension,
-then Haar random restarts (``_start_points``). ``_lockstep`` runs the
-starts and holds the iteration cap, the retire rule and the winner rule;
-the one engine, ``jacobi_search``, supplies the step.
+Every search runs its starts in lockstep, so each step is one batched
+computation. ``_lockstep`` runs the starts and holds the iteration cap, the
+retire rule and the winner rule; each search supplies only its starts and
+its step. The basis searches iterate the measurement unitaries themselves,
+from the warm starts of ``warm_start_bases``, the same in every dimension,
+then Haar random restarts (``_start_points``); the one engine,
+``jacobi_search``, supplies their step.
 
 ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
 rotates a round of disjoint Givens planes, each by the rotation its
@@ -16,9 +17,9 @@ exactly by one 3x3 eigenproblem (Cardoso & Souloumiac 1996); the entropic
 objectives (``entropic.RETAINED_INFORMATION``) take the best point of a
 small grid and one Riemannian Newton step (``plane_ascent``).
 
-The two-qubit alternation on the Bloch objective keeps its own loop: its
-starts are Bloch vectors, it never retires, and it shares only the winner
-rule.
+The two-qubit alternation on the Bloch objective (``_alternating_detail``)
+runs through the same ``_lockstep``; its starts are pairs of Bloch
+directions and its step two batched eigen half-steps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._contract import rotated_states
 from .errors import DomainError
 from .measurement import _haar_from_ginibre
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
@@ -61,9 +61,9 @@ class OptimizerConfig:
 class OptimizationResult:
     """What a search found and what it cost.
 
-    ``best_params`` is the winning point: a tuple of unitaries (one per
-    measured side) for the searches over bases, the concatenated Bloch
-    directions for the two-qubit alternating route.
+    ``best_params`` is the winning start's point, one entry per side: the
+    unitaries of a basis search, the Bloch directions (a, b) of the
+    two-qubit alternation.
     """
 
     best_value: float
@@ -90,7 +90,7 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the lockstep loop over the starts of a basis search
+# the lockstep loop over the starts of a search
 
 def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side.
@@ -114,11 +114,6 @@ def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     return points
 
 
-def _winner(values) -> int:
-    """The first start whose value is within the value tolerance of the best."""
-    return int(np.nonzero(values >= values.max() - _VALUE_TOLERANCE)[0][0])
-
-
 def _retire(values, active, converged):
     """Retire the active starts that have caught up with the incumbent maximum.
 
@@ -135,17 +130,20 @@ def _retire(values, active, converged):
 
 
 def _lockstep(points, values, advance) -> OptimizationResult:
-    """Run the starts of a basis search in lockstep and report the winner.
+    """Run the starts of a search in lockstep and report the winner.
 
-    ``points`` holds one (S, n, n) stack of start unitaries per measured side
-    (``_start_points``) and ``values`` the S objective values at the starts.
-    ``advance(idx)`` moves the running starts ``idx`` one iteration, updating
-    ``points`` and ``values`` at ``idx`` in place, and returns a boolean mask
-    over ``idx`` of the starts that stopped converged. A start also stops
-    after ``_MAX_ITERATIONS`` iterations, and after every iteration
-    ``_retire`` retires the starts that have caught up with the best. The
-    winner is ``_winner``'s start, ``best_params`` of the result is its tuple
-    of unitaries, and ``iterations_total`` sums the iterations of all starts.
+    ``points`` holds one stack per side with the S starts on its leading
+    axis: (S, n, n) unitaries for a basis search (``_start_points``), (S, 3)
+    Bloch directions for the two-qubit alternation. ``values`` holds the S
+    objective values at the starts. ``advance(idx)`` moves the running
+    starts ``idx`` one iteration, updating ``points`` and ``values`` at
+    ``idx`` in place, and returns a boolean mask over ``idx`` of the starts
+    that stopped converged. A start also stops after ``_MAX_ITERATIONS``
+    iterations, and after every iteration ``_retire`` retires the starts
+    that have caught up with the best. The winner is the first start within
+    ``_VALUE_TOLERANCE`` of the best value, ``best_params`` of the result is
+    its tuple of points, and ``iterations_total`` sums the iterations of all
+    starts. This is the only multistart loop: every search ends here.
     """
     total = len(values)
     active = np.ones(total, dtype=bool)
@@ -160,7 +158,7 @@ def _lockstep(points, values, advance) -> OptimizationResult:
         active[idx[iters[idx] >= _MAX_ITERATIONS]] = False
         _retire(values, active, converged)
 
-    best = _winner(values)
+    best = int(np.nonzero(values >= values.max() - _VALUE_TOLERANCE)[0][0])
     return OptimizationResult(
         best_value=float(values[best]),
         best_params=tuple(p[best].copy() for p in points),
@@ -188,22 +186,38 @@ def _round_robin(n):
     return rounds
 
 
+def rotated_states(r: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """(U_A x U_B)^dag rho (U_A x U_B) for each pair of an (N, na, na) and an
+    (N, nb, nb) stack of unitaries, as an (N, na, nb, na, nb) stack; ``r`` is
+    the (na, nb, na, nb) state."""
+    na, nb = r.shape[0], r.shape[1]
+    n, d = ua.shape[0], na * nb
+    w = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(n, d, d)
+    return (w.conj().transpose(0, 2, 1) @ r.reshape(d, d) @ w).reshape(n, na, nb, na, nb)
+
+
 def _measured_first(rt, side):
     """An (R, na, nb, na, nb) stack of states with the measured side on axes 1 and 3."""
     return rt if side == "A" else rt.transpose(0, 2, 1, 4, 3)
 
 
-def _retained_purities(rt, sides):
-    """The retained purity of each state in an (R, na, nb, na, nb) stack.
+def _dephased(rt, sides):
+    """What a search measuring ``sides`` reads of each state in an
+    (R, na, nb, na, nb) stack in its current bases.
 
-    Two sides: the sum of squares of the dephased table. One side: the sum
-    of squared moduli of the blocks <o|rho|o> of the measured side.
+    Two sides: the dephased table <alpha beta|rho|alpha beta>, real and
+    (R, na, nb). One side: the blocks <o|rho|o> of the measured side, an
+    (R, n, m, m) stack of m x m matrices, one per basis vector o.
     """
     if len(sides) == 2:
-        p = np.einsum("rabab->rab", rt).real
-        return np.sum(p * p, axis=(1, 2))
-    blocks = np.einsum("rabac->rabc", _measured_first(rt, sides[0]))
-    return np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=(1, 2, 3))
+        return np.einsum("rabab->rab", rt).real
+    return np.einsum("rabac->rabc", _measured_first(rt, sides[0]))
+
+
+def _retained_purities(d):
+    """The retained purity, the sum of squared moduli of each table or set
+    of blocks in a stack from ``_dephased``."""
+    return np.sum(d.real ** 2 + d.imag ** 2, axis=tuple(range(1, d.ndim)))
 
 
 def _plane_data(view, j, k, two_sided):
@@ -299,8 +313,9 @@ def plane_ascent(value, derivatives):
 class PlaneObjective(NamedTuple):
     """An objective of ``jacobi_search``.
 
-    ``values(rt, sides)`` maps an (R, na, nb, na, nb) stack of states in
-    their current bases to R values; ``solve(a, g)`` maps the plane data
+    ``values(d)`` maps the R tables (two-sided, ``d.ndim == 3``) or sets of
+    blocks (one-sided) that ``_dephased`` reads from the states in their
+    current bases to R values; ``solve(a, g)`` maps the plane data
     of ``_plane_data`` to the (N, 3) unit vectors v of the rotations to
     take (``_rotations``), never lowering the value.
     """
@@ -367,7 +382,7 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
     bases = {s: np.broadcast_to(np.eye(n, dtype=complex), (total, n, n)) for s, n in size.items()}
     bases.update(zip(sides, points))
     rounds = [(s, j, k) for s in sides for j, k in _round_robin(size[s])]
-    values = objective.values(rotated_states(r, bases["A"], bases["B"]), sides)
+    values = objective.values(_dephased(rotated_states(r, bases["A"], bases["B"]), sides))
 
     def sweep(idx):
         cur = {s: b[idx] for s, b in bases.items()}
@@ -376,7 +391,7 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
             _jacobi_step(cur[s], view, j, k, len(sides) == 2, objective.solve)
         for s in sides:
             bases[s][idx] = cur[s]
-        new = objective.values(rotated_states(r, cur["A"], cur["B"]), sides)
+        new = objective.values(_dephased(rotated_states(r, cur["A"], cur["B"]), sides))
         done = new - values[idx] < _VALUE_TOLERANCE
         values[idx] = new
         return done
@@ -404,15 +419,15 @@ def _top_unit_eigvecs(m: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
-    """Multistart alternation, run in lockstep across starts.
+def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationResult:
+    """Multistart alternation, run by ``_lockstep``.
 
     The starts are e_1, e_2, e_3, the top right singular vector of T, y/|y|
     (when y != 0) and ``cfg.restarts`` Gaussian directions from
-    ``default_rng([cfg.seed, r])``. Each start stops once its value rises by
-    less than ``_VALUE_TOLERANCE``, or after ``_MAX_ITERATIONS`` steps; each
-    half-step is one batched eigh over the starts still running. The winner
-    is ``_winner``'s start.
+    ``default_rng([cfg.seed, r])``, each a start for b. A step is two
+    half-steps, each one batched eigh over the running starts: a from b,
+    then b from a. A start stops converged once a step raises its value by
+    less than ``_VALUE_TOLERANCE``. ``best_params`` is the winner's (a, b).
     """
     x, y, t = b.x, b.y, b.t
     _, _, vt = np.linalg.svd(t)
@@ -426,47 +441,32 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig):
 
     bv = np.array(starts)
     a = np.zeros_like(bv)
-    total = len(bv)
-    values = np.full(total, -np.inf)
-    active = np.ones(total, dtype=bool)
-    converged = np.zeros(total, dtype=bool)
-    iters = np.zeros(total, dtype=int)
+    values = np.full(len(bv), -np.inf)
     xx, yy = np.outer(x, x), np.outer(y, y)
-    for _ in range(_MAX_ITERATIONS):
-        idx = np.nonzero(active)[0]
-        if not len(idx):
-            break
-        iters[idx] += 1
+
+    def step(idx):
         w = bv[idx] @ t.T  # rows T b
         a[idx] = _top_unit_eigvecs(xx + w[:, :, None] * w[:, None, :])
         w2 = a[idx] @ t  # rows T^t a
         bv[idx] = _top_unit_eigvecs(yy + w2[:, :, None] * w2[:, None, :])
         new = (a[idx] @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
         old = values[idx]
-        done = new - old < _VALUE_TOLERANCE
-        values[idx] = np.where(done, np.maximum(old, new), new)
-        converged[idx[done]] = True
-        active[idx[done]] = False
+        values[idx] = np.maximum(old, new)
+        return new - old < _VALUE_TOLERANCE
 
-    best = _winner(values)
-    report = OptimizationResult(
-        best_value=float(values[best]),
-        best_params=np.concatenate([a[best], bv[best]]),
-        restarts_run=total,
-        iterations_total=int(iters.sum()),
-        converged=bool(converged[best]),
-    )
-    return a[best], bv[best], float(values[best]), report
+    return _lockstep([a, bv], values, step)
 
 
 def alternating_sphere_max(b: TwoQubitBloch, cfg: OptimizerConfig):
-    """Maximize (a.x)^2 + (b.y)^2 + (a T b)^2 over unit vectors by alternation.
+    """Maximize (a.x)^2 + (b.y)^2 + (a T b)^2 over unit vectors by alternation;
+    returns (a, b, value).
 
     Each half-step is the exact top-eigenvector maximization of a quadratic
     form on the sphere, so the value sequence is nondecreasing.
     """
-    a, bv, value, _ = _alternating_detail(b, cfg)
-    return a, bv, value
+    res = _alternating_detail(b, cfg)
+    a, bv = res.best_params
+    return a, bv, res.best_value
 
 
 @lru_cache(maxsize=16)

@@ -71,4 +71,8 @@ def load_state(path) -> BipartiteState:
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
             raise StateFormatError(f"not UTF-8 text: byte {exc.start} is {bad:#04x}") from exc
+        except RecursionError as exc:
+            raise StateFormatError("invalid JSON: nested too deeply") from exc
+        except ValueError as exc:  # an integer literal past the int-conversion limit
+            raise StateFormatError(f"invalid JSON: {str(exc).split(':')[0]}") from exc
     return state_from_dict(doc)

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._contract import EIG_FLOOR, shannon_bits
 from .errors import DomainError
 from .entropic import (
+    EIG_FLOOR,
     discord_two_sided,
     loss_split,
     measured_loss_two_sided,
     mutual_information,
+    shannon_bits,
 )
 from .geometric import (
     correlation_matrix,
@@ -414,14 +415,18 @@ def _small(cfg: OptimizerConfig) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 # the nine acceptance checks
 
+# family -> (state(m, x), closed-form two-sided geometric discord(m, x), x domain)
+CLOSED_FORMS = {
+    "werner": (werner, werner_geo_closed, (-1.0, 1.0)),
+    "isotropic": (isotropic, isotropic_geo_closed, (0.0, 1.0)),
+}
+
+
 def _closed_form_sweep(family: str, cfg: OptimizerConfig, ms, points) -> CheckResult:
     t0 = _clock()
     rep = AuditReport()
-    make, closed, lo = {
-        "werner": (werner, werner_geo_closed, -1.0),
-        "isotropic": (isotropic, isotropic_geo_closed, 0.0),
-    }[family]
-    for k, (m, x) in enumerate(itertools.product(ms, np.linspace(lo, 1.0, points))):
+    make, closed, (lo, hi) = CLOSED_FORMS[family]
+    for k, (m, x) in enumerate(itertools.product(ms, np.linspace(lo, hi, points))):
         x = float(x)
         gap = geo_discord_two_sided(make(m, x), cfg).value - closed(m, x)
         rep.record({f"{family}-closed-form": -abs(gap)}, k)

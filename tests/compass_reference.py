@@ -15,7 +15,7 @@ hold for both.
 import numpy as np
 
 from twodiscord import entropic
-from twodiscord._contract import entropy_of_spectra, rotated_states, shannon_bits
+from twodiscord.entropic import entropy_of_spectra, shannon_bits
 from twodiscord.optimize import (
     _VALUE_TOLERANCE,
     OptimizationResult,
@@ -23,6 +23,7 @@ from twodiscord.optimize import (
     _lockstep,
     _rotate_columns,
     _start_points,
+    rotated_states,
 )
 
 _INITIAL_STEP = 0.25

@@ -99,6 +99,9 @@ class TestCompute:
         "directory": "error: cannot read state file {path}: Is a directory",
         "not-utf8": "error: not UTF-8 text: byte 2 is 0xe9",
         "huge-entries": "error: trace is (inf+0j), expected 1",
+        "deep-nesting": "error: invalid JSON: nested too deeply",
+        "long-integer": ("error: invalid JSON: "
+                         "Exceeds the limit (4300 digits) for integer string conversion"),
         "missing-out-dir": "error: cannot write output file {out}: No such file or directory",
     }
 
@@ -117,6 +120,12 @@ class TestCompute:
                 {"dim_a": 2, "dim_b": 2,
                  "matrix": [[[1e308 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
             ))
+        elif case == "deep-nesting":
+            (tmp_path / "state.json").write_text(
+                '{"dim_a": 2, "dim_b": 2, "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        elif case == "long-integer":
+            (tmp_path / "state.json").write_text(
+                '{"dim_a": 2, "dim_b": 2, "matrix": [[[' + "1" * 5000 + ", 0]]]}")
         else:
             argv = ["compute", bell_file, "--out", out, *FAST]
         assert main(argv) == 2

@@ -3,7 +3,7 @@ import pytest
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
-from twodiscord._contract import shannon_bits
+from twodiscord.entropic import shannon_bits
 from twodiscord.optimize import projective_grid
 from twodiscord.states import PAULI
 from twodiscord.verification import (

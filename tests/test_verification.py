@@ -1,5 +1,7 @@
 """The tolerance table: every named margin is wired into the checks that judge it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,8 @@ def test_two_qubit_checks_judge_the_alternation(monkeypatch):
     alternate = geometric._alternating_detail
 
     def off(b, cfg):
-        a, bv, value, report = alternate(b, cfg)
-        return a, bv, value + 0.01, report
+        report = alternate(b, cfg)
+        return dataclasses.replace(report, best_value=report.best_value + 0.01)
 
     monkeypatch.setattr(geometric, "_alternating_detail", off)
     assert not V.check_bloch_special_cases(CFG, n=5).passed
