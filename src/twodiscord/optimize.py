@@ -19,7 +19,11 @@ small grid and one Riemannian Newton step (``plane_ascent``).
 
 The two-qubit alternation on the Bloch objective (``_alternating_detail``)
 runs through the same ``_lockstep``; its starts are pairs of Bloch
-directions and its step two batched eigen half-steps.
+directions. Its step is two batched eigen half-steps, or, from a start's
+second step on, one Riemannian Newton step (``_newton_points``, shared with
+``plane_ascent``) on the objective maximized over b (``_reduced_bloch``)
+followed by the b half-step. The geometric grid oracle bounds its rows by
+that same maximum.
 """
 
 from __future__ import annotations
@@ -275,26 +279,18 @@ _CURVATURE_FLOOR = 1e-12
 _PLANE_GRID = np.vstack([[1.0, 0.0, 0.0], _fibonacci_directions(_PLANE_GRID_SIZE)])
 
 
-def plane_ascent(value, derivatives):
-    """The plane solve of a smooth objective f(v) that is even on the sphere.
+def _newton_points(v, grad, hess):
+    """One Riemannian Newton ascent step on the unit sphere from each of the
+    (N, 3) points v, given f's gradient (N, 3) and Hessian (N, 3, 3) in R^3;
+    returns the (N, 3) unit vectors reached.
 
-    ``value(v)`` maps an (N, C, 3) stack of unit vectors, or a (C, 3) stack
-    shared by the N planes, to the (N, C) values of f; ``derivatives(v)``
-    maps (N, 3) to f's gradient (N, 3) and Hessian (N, 3, 3) in R^3.
-    Returns (N, 3): the best point of ``_PLANE_GRID``, moved by one
-    Riemannian Newton step on the sphere when that raises f. With the
-    tangent projector P = I - v v^t, the step solves |H| eta = P grad for
-    the Riemannian Hessian H = P Hess P - (v . grad) P, its eigenvalues
-    taken in magnitude so that it ascends where f is not concave (Absil,
-    Mahony & Sepulchre 2008; Ishteva, Absil & Van Dooren 2013), and is cut
-    to length ``_NEWTON_CAP``. No move is the first grid point, so a plane
-    solve never lowers f.
+    With the tangent projector P = I - v v^t, the step solves
+    |H| eta = P grad for the Riemannian Hessian H = P Hess P - (v . grad) P,
+    its eigenvalues taken in magnitude so that it ascends where f is not
+    concave (Absil, Mahony & Sepulchre 2008; Ishteva, Absil & Van Dooren
+    2013), and is cut to length ``_NEWTON_CAP``. Whether the point raises f
+    is for the caller to check.
     """
-    vals = value(_PLANE_GRID)
-    best = np.argmax(vals, axis=1)
-    v = _PLANE_GRID[best]
-    f0 = vals[np.arange(len(v)), best]
-    grad, hess = derivatives(v)
     radial = np.sum(v * grad, axis=1)
     vv = v[:, :, None] * v[:, None, :]
     proj = np.eye(3) - vv
@@ -306,6 +302,24 @@ def plane_ascent(value, derivatives):
     norm = np.linalg.norm(eta, axis=1, keepdims=True)
     step = v + eta * np.minimum(1.0, _NEWTON_CAP / np.maximum(norm, _NEWTON_CAP))
     step /= np.linalg.norm(step, axis=1, keepdims=True)
+    return step
+
+
+def plane_ascent(value, derivatives):
+    """The plane solve of a smooth objective f(v) that is even on the sphere.
+
+    ``value(v)`` maps an (N, C, 3) stack of unit vectors, or a (C, 3) stack
+    shared by the N planes, to the (N, C) values of f; ``derivatives(v)``
+    maps (N, 3) to f's gradient (N, 3) and Hessian (N, 3, 3) in R^3.
+    Returns (N, 3): the best point of ``_PLANE_GRID``, moved by one
+    Riemannian Newton step (``_newton_points``) when that raises f. No move
+    is the first grid point, so a plane solve never lowers f.
+    """
+    vals = value(_PLANE_GRID)
+    best = np.argmax(vals, axis=1)
+    v = _PLANE_GRID[best]
+    f0 = vals[np.arange(len(v)), best]
+    step = _newton_points(v, *derivatives(v))
     better = value(step[:, None])[:, 0] > f0
     return np.where(better[:, None], step, v)
 
@@ -419,15 +433,75 @@ def _top_unit_eigvecs(m: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _gram_top(g11, g22, g12):
+    """The top eigenvalue of each 2x2 Gram matrix [[g11, g12], [g12, g22]],
+    and the gap r between its two eigenvalues."""
+    r = np.sqrt((g11 - g22) ** 2 + 4.0 * g12**2)
+    return 0.5 * (g11 + g22 + r), r
+
+
+def _outer(u, v):
+    """The outer product of each pair of rows of two (N, 3) stacks: (N, 3, 3)."""
+    return u[:, :, None] * v[:, None, :]
+
+
+def _reduced_bloch(bloch: TwoQubitBloch, av):
+    """The Bloch pair objective maximized over b, F(a), at each row a of the
+    (N, 3) stack av, and r; returns (F, r).
+
+    F(a) = max_b [(a.x)^2 + (b.y)^2 + (a T b)^2] = (a.x)^2 + (g11 + g22 + r) / 2,
+    with g11 = |y|^2, g22 = |T^t a|^2, g12 = a.Ty and r the gap of the
+    Gram [[g11, g12], [g12, g22]] of y and T^t a (``_gram_top``); the b
+    that attains it is the top eigenvector of y y^t + T^t a a^t T.
+    """
+    ax, tta = av @ bloch.x, av @ bloch.t
+    g22, g12 = np.sum(tta * tta, axis=1), av @ (bloch.t @ bloch.y)
+    top, r = _gram_top(float(bloch.y @ bloch.y), g22, g12)
+    return ax * ax + top, r
+
+
+def _reduced_bloch_derivatives(bloch: TwoQubitBloch, av):
+    """The gradient (N, 3) and Hessian (N, 3, 3) in R^3 of ``_reduced_bloch``'s
+    F at each row a of av; r must be > 0 there.
+
+    With M = T T^t, u = T y and N = (g22 - g11) M a + 2 g12 u:
+    grad = 2 (a.x) x + M a + N / r and
+    Hess = 2 x x^t + M + (2 M a a^t M + (g22 - g11) M + 2 u u^t) / r - 2 N N^t / r^3.
+    """
+    x, y, t = bloch.x, bloch.y, bloch.t
+    m, u = t @ t.T, t @ y
+    ax, ma, g12 = av @ x, av @ m, av @ u
+    g11, g22 = float(y @ y), np.sum(av * ma, axis=1)
+    d, r = g22 - g11, _gram_top(g11, g22, g12)[1][:, None]
+    nn = d[:, None] * ma + 2.0 * g12[:, None] * u
+    grad = 2.0 * ax[:, None] * x + ma + nn / r
+    rr = r[:, :, None]
+    hess = (2.0 * np.outer(x, x) + m
+            + (2.0 * _outer(ma, ma) + d[:, None, None] * m + 2.0 * np.outer(u, u)) / rr
+            - 2.0 * _outer(nn, nn) / rr**3)
+    return grad, hess
+
+
+# the reduced objective is smooth where its Gram's eigenvalue gap exceeds this
+_SMOOTH_GAP = 1e-9
+
+
 def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationResult:
     """Multistart alternation, run by ``_lockstep``.
 
     The starts are e_1, e_2, e_3, the top right singular vector of T, y/|y|
     (when y != 0) and ``cfg.restarts`` Gaussian directions from
-    ``default_rng([cfg.seed, r])``, each a start for b. A step is two
-    half-steps, each one batched eigh over the running starts: a from b,
-    then b from a. A start stops converged once a step raises its value by
-    less than ``_VALUE_TOLERANCE``. ``best_params`` is the winner's (a, b).
+    ``default_rng([cfg.seed, r])``, each a start for b. A start's first step
+    is two half-steps, each one batched eigh over the running starts: a
+    from b, then b from a. Every later step first tries one Riemannian
+    Newton step (``_newton_points``) on the reduced objective F(a), the
+    maximum over b (``_reduced_bloch``). It keeps the Newton point when F
+    rises there and then takes only the b half-step; otherwise, and where
+    the gap r <= ``_SMOOTH_GAP`` (F is not differentiable at a double
+    eigenvalue), it takes both half-steps. Near maximal entanglement the
+    half-steps alone zigzag along a near-flat ridge for hundreds of steps
+    per start. A start stops converged once a step raises its value by less
+    than ``_VALUE_TOLERANCE``. ``best_params`` is the winner's (a, b).
     """
     x, y, t = b.x, b.y, b.t
     _, _, vt = np.linalg.svd(t)
@@ -445,11 +519,23 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
     xx, yy = np.outer(x, x), np.outer(y, y)
 
     def step(idx):
-        w = bv[idx] @ t.T  # rows T b
-        a[idx] = _top_unit_eigvecs(xx + w[:, :, None] * w[:, None, :])
-        w2 = a[idx] @ t  # rows T^t a
-        bv[idx] = _top_unit_eigvecs(yy + w2[:, :, None] * w2[:, None, :])
-        new = (a[idx] @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
+        cur = a[idx]
+        f, gap = _reduced_bloch(b, cur)
+        # a start's first step (value -inf) has no a yet
+        tried = np.nonzero(np.isfinite(values[idx]) & (gap > _SMOOTH_GAP))[0]
+        half = np.ones(len(idx), dtype=bool)
+        if len(tried):
+            cand = _newton_points(cur[tried], *_reduced_bloch_derivatives(b, cur[tried]))
+            rise = _reduced_bloch(b, cand)[0] > f[tried]
+            cur[tried[rise]] = cand[rise]
+            half[tried[rise]] = False
+        if np.any(half):
+            w = bv[idx[half]] @ t.T  # rows T b
+            cur[half] = _top_unit_eigvecs(xx + _outer(w, w))
+        a[idx] = cur
+        w2 = cur @ t  # rows T^t a
+        bv[idx] = _top_unit_eigvecs(yy + _outer(w2, w2))
+        new = (cur @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
         old = values[idx]
         values[idx] = np.maximum(old, new)
         return new - old < _VALUE_TOLERANCE
@@ -516,11 +602,12 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     ``projective_grid``, one direction per antipodal pair.
 
     The pairwise max is computed exactly with branch-and-bound pruning: for a
-    fixed a the continuous maximum over b is a closed-form top eigenvalue of a
-    rank-2 form, which upper-bounds every grid value in that row, so grid
-    directions whose bound cannot beat the incumbent are skipped without
-    changing the result. The bound is computed in blocks of ``_GRID_CHUNK``
-    directions from one product of the grid with (x, y, T, T y); only a.x^2,
+    fixed a the continuous maximum over b is the alternation's reduced
+    objective F(a) (``_reduced_bloch``), which upper-bounds every grid value
+    in that row, so grid directions whose bound cannot beat the incumbent
+    are skipped without changing the result. The bound is computed in
+    blocks of ``_GRID_CHUNK`` directions from one product of the grid with
+    (x, y, T, T y), through F's Gram formula ``_gram_top``; only a.x^2,
     b.y^2 and the bound are kept for the whole grid. The direction with the
     largest bound sets the first incumbent; only the directions whose bound
     exceeds it are sorted and scanned.
@@ -539,7 +626,7 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
         by2[rows] = q[1] ** 2
         g22 = q[2] * q[2] + q[3] * q[3] + q[4] * q[4]  # |T^t a|^2
         g12 = q[5]  # (T^t a).y
-        ub[rows] = ax2[rows] + 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12**2))
+        ub[rows] = ax2[rows] + _gram_top(g11, g22, g12)[0]
     buf = np.empty(n)
 
     def value(i):

@@ -169,6 +169,64 @@ def _holevo_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
     return chi
 
 
+# tangent lines of the convexity row bound; even, so that the polygon they
+# bound keeps |zeta_s| <= |w_s| (see ``_convexity_rows``)
+_ROW_BOUND_LINES = 8
+
+
+def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
+    """An upper bound U(a) on every grid value of the retained information
+    in the row of each A direction a in ``pts``.
+
+    In row a, outcome s = +-1 of A has probability p_s = (1 + s a.x) / 2,
+    and measuring B along b gives the table p(s, t) = (p_s + t zeta_s) / 2,
+    with zeta_s = b.w_s and w_s = (y + s T^t a) / 2. For fixed p_s the
+    retained information H(A) + H(B) - H(A, B) is convex in the channel
+    (Cover & Thomas, Thm 2.7.4), hence in zeta = (zeta_+, zeta_-). As b
+    ranges over the unit sphere, zeta stays in the ellipse with support
+    function h(d) = sqrt(d^t G d), G the Gram matrix of w_+ and w_-. The
+    tangent lines d_k . zeta = h(d_k), d_k at the angles k pi / K with
+    K = ``_ROW_BOUND_LINES``, bound a polygon around the ellipse, and a
+    convex function peaks at a vertex: U(a) is the largest vertex value.
+    K is even, so +-e_1 and +-e_2 are among the d_k and every vertex keeps
+    |zeta_s| <= |w_s| <= p_s, a valid table. Antipodal vertices only
+    relabel t, so the K vertices of consecutive lines k, k + 1 (k < K)
+    suffice. Vertex values follow the grid's floor rules: entries clipped
+    at 0, and p log p = 0 below ``EIG_FLOOR``. At K = 8 a pure state,
+    where chi(a) = S(rho_B) on every row, leaves about one chunk of rows to
+    score.
+    """
+    k = _ROW_BOUND_LINES
+    ang = np.arange(k + 1) * (np.pi / k)
+    c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    # row i is (a.x, a.Ty, a^T T) for a = pts[i]
+    q = pts @ np.column_stack([b.x, b.t @ b.y, b.t])
+    # 4 h(d)^2 = (c + s)^2 |y|^2 + 2 (c^2 - s^2) a.Ty + (c - s)^2 |T^t a|^2 at d = (c, s)
+    tta2 = q[:, 2] ** 2 + q[:, 3] ** 2 + q[:, 4] ** 2
+    h = np.sqrt(np.maximum((c + s) ** 2 * float(b.y @ b.y) + 2.0 * (c * c - s * s) * q[:, 1]
+                           + (c - s) ** 2 * tta2, 0.0))  # 2 h(d_k), (K + 1, n)
+    # zeta / 2 at the vertex of lines k and k + 1, by Cramer's rule (determinant sin(pi / K))
+    det = 4.0 * np.sin(np.pi / k)
+    z_p = (s[1:] * h[:-1] - s[:-1] * h[1:]) / det
+    z_m = (c[:-1] * h[1:] - c[1:] * h[:-1]) / det
+    qa = 0.25 * (1.0 + q[:, 0]), 0.25 * (1.0 - q[:, 0])  # p_s / 2
+    h_a = shannon_bits(np.clip(2.0 * np.stack(qa), 0.0, None), axis=0)
+
+    def plogp(e):
+        np.maximum(e, 0.0, out=e)
+        return e * np.log2(np.where(e < EIG_FLOOR, 1.0, e))
+
+    # H(A) + H(B) - H(A, B), with p(s, t) = p_s / 2 + t zeta_s / 2 and
+    # P(t) = 1 / 2 + t (zeta_+ + zeta_-) / 2
+    zb = z_p + z_m
+    retained = plogp(0.5 - zb) + plogp(zb + 0.5)
+    np.negative(retained, out=retained)
+    for q_s, z_s in zip(qa, (z_p, z_m)):
+        retained += plogp(q_s + z_s)
+        retained += plogp(q_s - z_s)
+    return h_a + retained.max(axis=0)
+
+
 def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> float:
     """Grid lower bound on the retained mutual information, hence an upper
     bound on the two-sided entropic discord of a two-qubit state.
@@ -182,13 +240,13 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     at a time in preallocated buffers.
 
     The maximum is exact branch-and-bound: no grid value in row a exceeds
-    the Holevo quantity ``_holevo_rows`` chi(a), so the rows are visited in
-    decreasing chi and the scan stops at the first row with
-    chi(a) + 1e-9 < best. The 1e-14 floors move a grid value or chi by
-    less than 3e-12, so that slack keeps every row that could hold the
-    maximum, and each visited row is computed exactly as in a full scan.
-    A pure state leaves B's conditional states pure, so chi(a) = S(rho_B)
-    for every a and the bound prunes nothing.
+    min(chi(a), U(a)), the Holevo quantity ``_holevo_rows`` and the
+    convexity bound ``_convexity_rows``, so the rows are visited in
+    decreasing bound and the scan stops at the first row whose bound plus
+    1e-9 is below the best value. The 1e-14 floors move a grid value or a
+    bound by less than 3e-12, so that slack keeps every row that could hold
+    the maximum. A row's rounding depends on the chunk it is scored in, so
+    the order of the rows can move the result in its last bits.
     """
     pts = projective_grid(resolution)
     b = to_bloch(state)
@@ -200,16 +258,16 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     marginals = np.clip(2.0 * qa, 0.0, None), np.clip(0.5 + 2.0 * qb, 0.0, None)
     h_a, h_b = (shannon_bits(q, axis=0) for q in marginals)
     t_rows = b.t @ pts.T
-    chi = _holevo_rows(b, pts)
-    order = np.argsort(-chi, kind="stable")
+    bound = np.minimum(_holevo_rows(b, pts), _convexity_rows(b, pts))
+    order = np.argsort(-bound, kind="stable")
     chunk = 32
     m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))
     small = np.empty((chunk, n), dtype=bool)
     best = -np.inf
     for lo in range(0, n, chunk):
         rows = order[lo:lo + chunk]
-        # rows whose bound can still reach the incumbent: a prefix, as chi decreases
-        c = int(np.count_nonzero(chi[rows] + 1e-9 >= best))
+        # rows whose bound can still reach the incumbent: a prefix, as the bound decreases
+        c = int(np.count_nonzero(bound[rows] + 1e-9 >= best))
         if not c:
             break
         rows = rows[:c]

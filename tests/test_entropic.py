@@ -4,9 +4,11 @@ import pytest
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord.entropic import shannon_bits
+from twodiscord.measurement import haar_unitary
 from twodiscord.optimize import projective_grid
 from twodiscord.states import PAULI
 from twodiscord.verification import (
+    _convexity_rows,
     _holevo_rows,
     entropic_oracle_two_qubit,
     random_basis,
@@ -206,6 +208,13 @@ def _holevo_reference(state, a):
     return chi
 
 
+def _pure_in_local_frames(theta, seed):
+    """cos theta |00> + sin theta |11> in seeded Haar-random local frames."""
+    rng = np.random.default_rng([17, seed])
+    psi = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) @ [np.cos(theta), 0, 0, np.sin(theta)]
+    return td.make_bipartite(np.outer(psi, psi.conj()), 2, 2)
+
+
 def _oracle_states():
     rng = np.random.default_rng(20)
     plus = td.DensityMatrix(np.full((2, 2), 0.5))
@@ -248,8 +257,27 @@ class TestEntropicOracle:
             want = [_holevo_reference(st, a) for a in pts]
             np.testing.assert_allclose(chi, want, rtol=0, atol=1e-10)
 
+    def test_convexity_rows_bound_every_row(self):
+        # the pruning is exact because no grid value in row a exceeds U(a)
+        pts, cols = projective_grid(16), sphere_grid(16)
+        pure = [td.random_state(2, 2, rank=1, seed=100 + k) for k in range(20)]
+        for st in _oracle_states() + pure:
+            u = _convexity_rows(td.to_bloch(st), pts)
+            rows = _retained_table(st, pts, cols).max(axis=1)
+            assert np.all(u >= rows - 1e-12)
+
+    def test_convexity_rows_prune_pure_states(self):
+        # where chi(a) = S(rho_B) on every row, U(a) falls below it on most
+        # rows, for states neither close to a product nor maximally entangled
+        pts = projective_grid(16)
+        for k, theta in enumerate(np.linspace(0.25, 0.7, 10)):
+            st = _pure_in_local_frames(theta, k)
+            s_b = td.entropy(td.partial_trace(st, "B"))
+            u = _convexity_rows(td.to_bloch(st), pts)
+            assert np.mean(u < s_b - 1e-3) > 0.9
+
     def test_pure_state_bound_is_flat(self):
-        # pure conditional states: chi(a) = S(rho_B) for every a, nothing pruned
+        # pure conditional states: chi(a) = S(rho_B) for every a, chi prunes nothing
         pts = projective_grid(16)
         for seed in range(3):
             st = td.random_state(2, 2, rank=1, seed=seed)
@@ -266,3 +294,42 @@ class TestEntropicOracle:
     def test_rejects_small_resolution(self, resolution):
         with pytest.raises(td.DomainError):
             entropic_oracle_two_qubit(td.bell_state(), resolution)
+
+
+# the Bloch correlation vectors of the four Bell states
+_BELL_VERTICES = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+
+
+def _bell_diagonal(weights):
+    """The mixture of the four Bell states with ``weights``: x = y = 0 and T = diag(c)."""
+    c = np.asarray(weights) @ _BELL_VERTICES
+    return td.from_bloch(td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.diag(c))), c
+
+
+class TestBellDiagonal:
+    """The exact entropic discords of Bell-diagonal states (Luo, PRA 77, 042303 (2008)):
+    D_A = D_B = D_AB = I - [1 - h((1 + c) / 2)], c = max |c_i|."""
+
+    @staticmethod
+    def _closed(state, c):
+        p = 0.5 * (1.0 + np.max(np.abs(c)))
+        return td.mutual_information(state) - (1.0 - shannon_oracle([p, 1.0 - p]))
+
+    def test_searches_meet_the_closed_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            state, c = _bell_diagonal(rng.dirichlet(np.ones(4)))
+            want = self._closed(state, c)
+            for got in (td.discord_one_sided(state, "A", CFG), td.discord_one_sided(state, "B", CFG),
+                        td.discord_two_sided(state, CFG)):
+                assert got.value == pytest.approx(want, abs=1e-10)
+            assert entropic_oracle_two_qubit(state) >= want - 1e-12
+
+    def test_vertices_and_center(self):
+        # a Bell state has D = 1; the maximally mixed center has D = 0
+        for k in range(4):
+            state, c = _bell_diagonal(np.eye(4)[k])
+            assert self._closed(state, c) == pytest.approx(1.0, abs=1e-12)
+            assert td.discord_two_sided(state, CFG).value == pytest.approx(1.0, abs=1e-10)
+        state, c = _bell_diagonal(np.full(4, 0.25))
+        assert td.discord_two_sided(state, CFG).value == pytest.approx(0.0, abs=1e-10)

@@ -20,6 +20,8 @@ from twodiscord.optimize import (
     _measured_first,
     _plane_data,
     _purity_plane,
+    _reduced_bloch,
+    _reduced_bloch_derivatives,
     _rotations,
     _round_robin,
     _start_points,
@@ -574,12 +576,41 @@ def _alternating_reference(b, cfg):
     return best, len(starts), total_iters
 
 
+class TestReducedBloch:
+    def _cases(self):
+        rng = np.random.default_rng(12)
+        for seed in range(8):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
+            a = rng.standard_normal((5, 3))
+            yield b, a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    def test_is_the_maximum_over_b(self):
+        for b, a in self._cases():
+            f, _ = _reduced_bloch(b, a)
+            w = a @ b.t
+            top = np.linalg.eigvalsh(np.outer(b.y, b.y) + w[:, :, None] * w[:, None, :])[:, -1]
+            np.testing.assert_allclose(f, (a @ b.x) ** 2 + top, rtol=0, atol=1e-13)
+
+    def test_derivatives_match_central_differences(self):
+        eps = 1e-5
+        for b, a in self._cases():
+            grad, hess = _reduced_bloch_derivatives(b, a)
+            for i in range(3):
+                e = eps * np.eye(3)[i]
+                fd = (_reduced_bloch(b, a + e)[0] - _reduced_bloch(b, a - e)[0]) / (2 * eps)
+                np.testing.assert_allclose(grad[:, i], fd, rtol=0, atol=1e-8)
+                g_p, _ = _reduced_bloch_derivatives(b, a + e)
+                g_m, _ = _reduced_bloch_derivatives(b, a - e)
+                np.testing.assert_allclose(hess[:, :, i], (g_p - g_m) / (2 * eps),
+                                           rtol=0, atol=1e-6)
+
+
 class TestAlternatingLockstep:
     @pytest.mark.parametrize("restarts", [4, 8, 64])
     def test_matches_per_start_reference(self, restarts):
-        # the winning value within 1e-12 from the same starts; the retire rule
-        # stops the starts that have caught up with the best, so never more
-        # iterations, and fewer in all
+        # from the same starts, never below the half-step reference's winner:
+        # the Newton steps only add ascent, and the reference stops its
+        # crawls early; never more iterations, and fewer in all
         cfg = OptimizerConfig(restarts=restarts, seed=0)
         saved = 0
         for seed in range(20):
@@ -587,7 +618,7 @@ class TestAlternatingLockstep:
             report = _alternating_detail(b, cfg)
             a, bv = report.best_params
             want, runs, iters = _alternating_reference(b, cfg)
-            assert report.best_value == pytest.approx(want, abs=1e-12)
+            assert report.best_value >= want - 1e-13
             assert report.restarts_run == runs
             assert report.iterations_total <= iters
             saved += iters - report.iterations_total
@@ -596,16 +627,30 @@ class TestAlternatingLockstep:
         assert saved > 0
 
     def test_converged_is_the_winners_flag(self, monkeypatch):
-        # at a cap of 6 iterations the winner stops at the cap while the
-        # starts that caught up with it retire earlier
-        b = td.to_bloch(td.random_state(2, 2, rank=4, seed=0))
+        # at a cap of 3 iterations the winner stops at the cap while a start
+        # that caught up with it retires earlier
+        b = td.to_bloch(td.random_state(2, 2, rank=4, seed=1))
         cfg = OptimizerConfig(restarts=8)
         converged = _alternating_detail(b, cfg).converged
-        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 6)
+        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 3)
         report = _alternating_detail(b, cfg)
-        assert report.iterations_total < 6 * report.restarts_run
+        assert report.iterations_total < 3 * report.restarts_run
         assert not report.converged
         assert converged
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_crawl_near_maximal_entanglement(self, seed):
+        # cos t |00> + sin t |11>, t = pi/4 - 0.02, in seeded local frames: the
+        # half-steps alone zigzag along a near-flat ridge until every start
+        # reaches the iteration cap; the maximum is 1 + 2 cos(2t)^2
+        theta = np.pi / 4 - 0.02
+        rng = np.random.default_rng([17, seed])
+        psi = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) @ [np.cos(theta), 0, 0,
+                                                                      np.sin(theta)]
+        b = td.to_bloch(td.make_bipartite(np.outer(psi, psi.conj()), 2, 2))
+        report = _alternating_detail(b, OptimizerConfig(restarts=64))
+        assert report.iterations_total <= 1000
+        assert report.best_value == pytest.approx(1.0 + 2.0 * np.cos(2 * theta) ** 2, abs=1e-12)
 
     def test_sphere_max_is_a_view_of_the_result(self):
         for seed in range(4):
