@@ -39,7 +39,6 @@ from .measurement import (
     diagonal_distribution,
 )
 from .entropic import (
-    DiscordValue,
     discord_one_sided,
     discord_two_sided,
     entropy,
@@ -67,6 +66,7 @@ from .geometric import (
     werner_geo_closed,
 )
 from .optimize import (
+    DiscordValue,
     OptimizationResult,
     OptimizerConfig,
     alternating_sphere_max,

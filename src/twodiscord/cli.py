@@ -3,8 +3,9 @@
 Subcommands: ``compute`` for a single state file, ``sweep`` for the Werner
 and isotropic families, ``verify`` for the worked-example table, ``audit``
 for randomized invariant checks. Exit codes: 0 success, 2 input/validation
-failure (a numerical failure of linear algebra included), 3 flagged
-cross-check violation. All diagnostics are single lines prefixed "error:".
+failure (a numerical failure of linear algebra and running out of memory
+included), 3 flagged cross-check violation. All diagnostics are single
+lines prefixed "error:".
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

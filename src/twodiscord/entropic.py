@@ -2,7 +2,7 @@
 one- and two-sided projective measurements. All values are in bits.
 
 Both discords maximize a retained information over measurement bases by
-``optimize.jacobi_search`` on ``RETAINED_INFORMATION``. In one Givens plane
+``optimize.search_bases`` on ``RETAINED_INFORMATION``. In one Givens plane
 the moved rows of the dephased table, or the moved blocks of the measured
 side, are a +- X with X linear in a unit 3-vector v; the objective moves by
 phi(a + X) + phi(a - X), whose closed-form derivatives in v drive the plane
@@ -13,37 +13,24 @@ one floor for 0 log 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .measurement import (
     ProductMeasurement,
-    _basis_unchecked,
     _check_side,
     dephase_one_sided,
     diagonal_distribution,
 )
 from .optimize import (
-    OptimizationResult,
+    DiscordValue,
     OptimizerConfig,
     PlaneObjective,
-    jacobi_search,
     plane_ascent,
-    warm_start_bases,
+    search_bases,
 )
 from .states import BipartiteState, DensityMatrix, partial_trace
 
 EIG_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class DiscordValue:
-    """A discord value (bits) with the best measurement found."""
-
-    value: float
-    optimal_measurement: object  # ProductMeasurement, or OrthonormalBasis for one-sided
-    optimizer_report: OptimizationResult
 
 
 def shannon_bits(p: np.ndarray, axis) -> np.ndarray:
@@ -211,29 +198,19 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
     """S(rho_side) - S(rho) + min over found bases of [S(rho~) - S(rho~_side)].
 
     A heuristic upper estimate of the true infimum. The basis comes from the
-    Jacobi sweeps of ``jacobi_search`` on ``RETAINED_INFORMATION``.
+    Jacobi sweeps of ``search_bases`` on ``RETAINED_INFORMATION``.
     """
     _check_side(side)
-    res = jacobi_search(state.reshaped(), (side,), cfg,
-                        warm_start_bases(state, (side,), extra_warm_starts),
-                        RETAINED_INFORMATION)
+    res, basis = search_bases(state, (side,), cfg, RETAINED_INFORMATION, extra_warm_starts)
     value = entropy(partial_trace(state, side)) - entropy(state.rho) - res.best_value
-    basis = _basis_unchecked(res.best_params[0])
-    return DiscordValue(value=float(value), optimal_measurement=basis, optimizer_report=res)
+    return DiscordValue(float(value), basis, 0.0, res)
 
 
 def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordValue:
     """Mutual information minus the best found retained mutual information.
 
-    The bases come from the Jacobi sweeps of ``jacobi_search`` on
+    The bases come from the Jacobi sweeps of ``search_bases`` on
     ``RETAINED_INFORMATION``.
     """
-    res = jacobi_search(state.reshaped(), ("A", "B"), cfg, warm_start_bases(state, ("A", "B")),
-                        RETAINED_INFORMATION)
-    ua, ub = res.best_params
-    value = mutual_information(state) - res.best_value
-    return DiscordValue(
-        value=float(value),
-        optimal_measurement=ProductMeasurement(_basis_unchecked(ua), _basis_unchecked(ub)),
-        optimizer_report=res,
-    )
+    res, m = search_bases(state, ("A", "B"), cfg, RETAINED_INFORMATION)
+    return DiscordValue(float(mutual_information(state) - res.best_value), m, 0.0, res)

@@ -17,18 +17,16 @@ from .errors import (
 from .measurement import (
     OrthonormalBasis,
     ProductMeasurement,
-    _basis_unchecked,
     _check_side,
     bloch_basis,
     diagonal_distribution,
 )
 from .optimize import (
-    OptimizationResult,
+    DiscordValue,
     OptimizerConfig,
     _alternating_detail,
     bloch_pair_objective,
-    jacobi_search,
-    warm_start_bases,
+    search_bases,
 )
 from .states import BipartiteState, from_bloch, purity
 
@@ -167,14 +165,10 @@ def hs_distance_sq(r1: BipartiteState, r2: BipartiteState) -> float:
     return float(np.sum(np.abs(d) ** 2))
 
 
-def _retained_purity(p: np.ndarray) -> np.ndarray:
-    """Sum of squares of each (na, nb) table in a stack: the dephased purity."""
-    return np.sum(p * p, axis=(-2, -1))
-
-
 def dephased_purity(state: BipartiteState, m: ProductMeasurement) -> float:
     """Purity of the two-sided dephasing, sum of squared diagonal probabilities."""
-    return float(_retained_purity(diagonal_distribution(state, m)))
+    p = diagonal_distribution(state, m)
+    return float(np.sum(p * p))
 
 
 # ---------------------------------------------------------------------------
@@ -201,78 +195,55 @@ def isotropic_geo_closed(m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # spectral lower bounds
 
-def _sorted_cc_eigvals(cd: CorrelationData) -> np.ndarray:
-    lam = np.linalg.eigvalsh(cd.c @ cd.c.T)
-    return lam[::-1]
+def _spectral_bound(cd: CorrelationData, k: int) -> float:
+    """tr(CC^t) minus the top k eigenvalues of CC^t."""
+    lam = np.linalg.eigvalsh(cd.c @ cd.c.T)[::-1]
+    return float(np.sum(lam) - np.sum(lam[:k]))
 
 
 def lower_bound_two_sided(cd: CorrelationData) -> float:
     """tr(CC^t) minus the top min(n_A, n_B) eigenvalues of CC^t."""
-    lam = _sorted_cc_eigvals(cd)
-    k = min(cd.dim_a, cd.dim_b)
-    return float(np.sum(lam) - np.sum(lam[:k]))
+    return _spectral_bound(cd, min(cd.dim_a, cd.dim_b))
 
 
 def lower_bound_one_sided(cd: CorrelationData, side: str) -> float:
     """tr(CC^t) minus the top n_A (side A) or n_B (side B) eigenvalues."""
     _check_side(side)
-    lam = _sorted_cc_eigvals(cd)
-    k = cd.dim_a if side == "A" else cd.dim_b
-    return float(np.sum(lam) - np.sum(lam[:k]))
+    return _spectral_bound(cd, cd.dim_a if side == "A" else cd.dim_b)
 
 
 # ---------------------------------------------------------------------------
 # optimized geometric discords
 
-@dataclass(frozen=True)
-class GeoResult:
-    """A squared-HS-distance discord value with its certificate data."""
-
-    value: float
-    optimal_measurement: object  # ProductMeasurement, or OrthonormalBasis for one-sided
-    lower_bound: float
-    optimizer_report: OptimizationResult
+# code that imports GeoResult gets the one result type of every discord
+GeoResult = DiscordValue
 
 
-def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> GeoResult:
+def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordValue:
     """purity(state) minus the best found two-sided dephased purity.
 
     A heuristic upper estimate of the true infimum; the returned lower bound
     brackets it from below. No inner optimization over the classical
     probabilities is needed: for fixed bases the closest classical state is
     the dephased state itself (quadratic completion). The bases come from
-    the exact Jacobi sweeps of ``jacobi_search``.
+    the exact Jacobi sweeps of ``search_bases``.
     """
-    res = jacobi_search(state.reshaped(), ("A", "B"), cfg,
-                        warm_start_bases(state, ("A", "B")))
-    pur = purity(state.rho)
-    ua, ub = res.best_params
-    cd = correlation_matrix(state)
-    return GeoResult(
-        value=pur - res.best_value,
-        optimal_measurement=ProductMeasurement(_basis_unchecked(ua), _basis_unchecked(ub)),
-        lower_bound=lower_bound_two_sided(cd),
-        optimizer_report=res,
-    )
+    res, m = search_bases(state, ("A", "B"), cfg)
+    bound = lower_bound_two_sided(correlation_matrix(state))
+    return DiscordValue(purity(state.rho) - res.best_value, m, bound, res)
 
 
 def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
-                          extra_warm_starts=()) -> GeoResult:
+                          extra_warm_starts=()) -> DiscordValue:
     """purity(state) minus the best found one-sided dephased purity.
 
-    The basis comes from the exact Jacobi sweeps of ``jacobi_search``; on a
+    The basis comes from the exact Jacobi sweeps of ``search_bases``; on a
     measured qubit the first step already reaches the global optimum.
     """
     _check_side(side)
-    res = jacobi_search(state.reshaped(), (side,), cfg,
-                        warm_start_bases(state, (side,), extra_warm_starts))
-    cd = correlation_matrix(state)
-    return GeoResult(
-        value=purity(state.rho) - res.best_value,
-        optimal_measurement=_basis_unchecked(res.best_params[0]),
-        lower_bound=lower_bound_one_sided(cd, side),
-        optimizer_report=res,
-    )
+    res, basis = search_bases(state, (side,), cfg, extra=extra_warm_starts)
+    bound = lower_bound_one_sided(correlation_matrix(state), side)
+    return DiscordValue(purity(state.rho) - res.best_value, basis, bound, res)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +259,7 @@ def two_qubit_geo_objective(b, a, bv) -> float:
     return bloch_pair_objective(b.x, b.y, b.t, a, bv)
 
 
-def two_qubit_geo(b, cfg: OptimizerConfig) -> GeoResult:
+def two_qubit_geo(b, cfg: OptimizerConfig) -> DiscordValue:
     """Two-sided geometric discord of a two-qubit state from its Bloch data.
 
     Every state runs the multistart alternating eigen-iteration. Its starts
@@ -298,11 +269,6 @@ def two_qubit_geo(b, cfg: OptimizerConfig) -> GeoResult:
     state = from_bloch(b)  # PSD check happens here
     total = 0.25 * (b.x @ b.x + b.y @ b.y + np.sum(b.t * b.t))
     report = _alternating_detail(b, cfg)
-    a_opt, bv_opt = report.best_params
-    cd = correlation_matrix(state)
-    return GeoResult(
-        value=float(total - 0.25 * report.best_value),
-        optimal_measurement=ProductMeasurement(bloch_basis(a_opt), bloch_basis(bv_opt)),
-        lower_bound=lower_bound_two_sided(cd),
-        optimizer_report=report,
-    )
+    m = ProductMeasurement(*map(bloch_basis, report.best_params))
+    bound = lower_bound_two_sided(correlation_matrix(state))
+    return DiscordValue(float(total - 0.25 * report.best_value), m, bound, report)

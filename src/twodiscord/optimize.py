@@ -6,7 +6,8 @@ retire rule and the winner rule; each search supplies only its starts and
 its step. The basis searches iterate the measurement unitaries themselves,
 from the warm starts of ``warm_start_bases``, the same in every dimension,
 then Haar random restarts (``_start_points``); the one engine,
-``jacobi_search``, supplies their step.
+``jacobi_search``, supplies their step. Every discord that searches bases
+calls it through ``search_bases`` and reports a ``DiscordValue``.
 
 ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
 rotates a round of disjoint Givens planes, each by the rotation its
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .measurement import _haar_from_ginibre
+from .measurement import ProductMeasurement, _basis_unchecked, _haar_from_ginibre
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
 
 # a start stops at the iteration cap (Jacobi sweeps or alternation steps), or
@@ -55,10 +56,12 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+        for name, low in (("restarts", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise DomainError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,17 @@ class OptimizationResult:
     restarts_run: int
     iterations_total: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class DiscordValue:
+    """A discord value, the best measurement found, and a floor under the value:
+    the spectral bound of a geometric discord, 0 for an entropic one (bits)."""
+
+    value: float
+    optimal_measurement: object  # ProductMeasurement, or OrthonormalBasis for one-sided
+    lower_bound: float
+    optimizer_report: OptimizationResult
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +425,20 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
         return done
 
     return _lockstep(points, values, sweep)
+
+
+def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig,
+                 objective: PlaneObjective = RETAINED_PURITY, extra=()):
+    """``jacobi_search`` on ``state`` from the ``warm_start_bases`` of
+    ``sides`` and ``extra``; returns (result, measurement).
+
+    The measurement is the winning ProductMeasurement when both sides are
+    measured, the winning OrthonormalBasis when one is.
+    """
+    res = jacobi_search(state.reshaped(), sides, cfg, warm_start_bases(state, sides, extra),
+                        objective)
+    bases = [_basis_unchecked(u) for u in res.best_params]
+    return res, ProductMeasurement(*bases) if len(sides) == 2 else bases[0]
 
 
 # ---------------------------------------------------------------------------

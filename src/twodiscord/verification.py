@@ -140,35 +140,6 @@ def random_zero_marginal_two_qubit(rng) -> BipartiteState:
 # ---------------------------------------------------------------------------
 # independent oracles
 
-def _binary_entropy(r: np.ndarray) -> np.ndarray:
-    """Entropy in bits of a qubit whose Bloch vector has length r."""
-    r = np.clip(r, 0.0, 1.0)
-    return shannon_bits(np.stack([0.5 * (1.0 + r), 0.5 * (1.0 - r)]), axis=0)
-
-
-def _holevo_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
-    """Holevo quantity chi(a) of B's conditional states, for each A direction a.
-
-    Measuring A along a leaves outcome s = +-1 with probability
-    p_s = (1 + s a.x) / 2 and B in the state with Bloch vector
-    (y + s T^t a) / (1 + s a.x), so
-    chi(a) = h(|y|) - sum_s p_s h(|y + s T^t a| / (1 + s a.x)), with h the
-    entropy of a qubit of Bloch length r. No measurement of B retains more
-    than chi(a) bits (Holevo 1973). An outcome with 1 + s a.x below ``EIG_FLOOR``
-    contributes nothing, which can only raise chi.
-    """
-    ax = pts @ b.x
-    tta = pts @ b.t  # row i is a_i^T T, i.e. (T^t a_i)^t
-    chi = _binary_entropy(np.linalg.norm(b.y))
-    for s in (1.0, -1.0):
-        q = 1.0 + s * ax
-        kept = q >= EIG_FLOOR
-        r = np.linalg.norm(b.y + s * tta, axis=1)
-        np.divide(r, q, out=r, where=kept)
-        chi = chi - np.where(kept, 0.5 * q * _binary_entropy(r), 0.0)
-    return chi
-
-
 # tangent lines of the convexity row bound; even, so that the polygon they
 # bound keeps |zeta_s| <= |w_s| (see ``_convexity_rows``)
 _ROW_BOUND_LINES = 8
@@ -192,9 +163,8 @@ def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
     |zeta_s| <= |w_s| <= p_s, a valid table. Antipodal vertices only
     relabel t, so the K vertices of consecutive lines k, k + 1 (k < K)
     suffice. Vertex values follow the grid's floor rules: entries clipped
-    at 0, and p log p = 0 below ``EIG_FLOOR``. At K = 8 a pure state,
-    where chi(a) = S(rho_B) on every row, leaves about one chunk of rows to
-    score.
+    at 0, and p log p = 0 below ``EIG_FLOOR``. At K = 8 a pure state
+    leaves about one chunk of rows to score.
     """
     k = _ROW_BOUND_LINES
     ang = np.arange(k + 1) * (np.pi / k)
@@ -240,10 +210,9 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     at a time in preallocated buffers.
 
     The maximum is exact branch-and-bound: no grid value in row a exceeds
-    min(chi(a), U(a)), the Holevo quantity ``_holevo_rows`` and the
-    convexity bound ``_convexity_rows``, so the rows are visited in
-    decreasing bound and the scan stops at the first row whose bound plus
-    1e-9 is below the best value. The 1e-14 floors move a grid value or a
+    the convexity bound U(a) of ``_convexity_rows``, so the rows are visited
+    in decreasing bound and the scan stops at the first row whose bound
+    plus 1e-9 is below the best value. The 1e-14 floors move a grid value or a
     bound by less than 3e-12, so that slack keeps every row that could hold
     the maximum. A row's rounding depends on the chunk it is scored in, so
     the order of the rows can move the result in its last bits.
@@ -258,7 +227,7 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     marginals = np.clip(2.0 * qa, 0.0, None), np.clip(0.5 + 2.0 * qb, 0.0, None)
     h_a, h_b = (shannon_bits(q, axis=0) for q in marginals)
     t_rows = b.t @ pts.T
-    bound = np.minimum(_holevo_rows(b, pts), _convexity_rows(b, pts))
+    bound = _convexity_rows(b, pts)
     order = np.argsort(-bound, kind="stable")
     chunk = 32
     m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+import twodiscord as td
+from twodiscord import entropic, geometric, optimize
+from twodiscord.verification import random_bipartite
+
+# every name the package exports; a refactor that drops one breaks its users
+PUBLIC_NAMES = (
+    "DimensionMismatchError", "DiscordError", "DomainError", "InvalidDistributionError",
+    "NonHermitianError", "NonUnitTraceError", "NotPositiveSemidefiniteError",
+    "NotUnitVectorError", "NumericalResidueError", "StateFormatError", "BipartiteState",
+    "DensityMatrix", "TwoQubitBloch", "bell_state", "classical_classical", "from_bloch",
+    "isotropic", "make_bipartite", "partial_trace", "purity", "random_state", "tensor",
+    "to_bloch", "werner", "OrthonormalBasis", "ProductMeasurement", "bloch_basis",
+    "computational_basis", "dephase_one_sided", "dephase_two_sided", "diagonal_distribution",
+    "DiscordValue", "discord_one_sided", "discord_two_sided", "entropy", "loss_split",
+    "measured_loss_two_sided", "mutual_information", "CorrelationData", "GeoResult",
+    "HermitianOperatorBasis", "correlation_matrix", "dephased_purity", "geo_discord_one_sided",
+    "geo_discord_two_sided", "hermitian_operator_basis", "hs_distance_sq",
+    "isotropic_geo_closed", "lower_bound_one_sided", "lower_bound_two_sided",
+    "measurement_matrix", "objective27", "two_qubit_geo", "two_qubit_geo_objective",
+    "werner_geo_closed", "OptimizationResult", "OptimizerConfig", "alternating_sphere_max",
+    "sphere_grid_oracle", "load_state", "save_state", "state_from_dict", "state_to_dict",
+)
+
+CFG = td.OptimizerConfig(restarts=4, seed=0)
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_imports(name):
+    exec(f"from twodiscord import {name}", {})
+
+
+class TestOneResultType:
+    def test_one_class_under_every_name(self):
+        assert td.GeoResult is td.DiscordValue
+        assert geometric.GeoResult is entropic.DiscordValue is optimize.DiscordValue
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_every_discord_returns_it(self, dims):
+        state = random_bipartite(np.random.default_rng([41, *dims]), *dims)
+        geo = [td.geo_discord_two_sided(state, CFG),
+               *(td.geo_discord_one_sided(state, side, CFG) for side in "AB")]
+        ent = [td.discord_two_sided(state, CFG),
+               *(td.discord_one_sided(state, side, CFG) for side in "AB")]
+        if dims == (2, 2):
+            geo.append(td.two_qubit_geo(td.to_bloch(state), CFG))
+        for res in geo + ent:
+            assert type(res) is td.DiscordValue
+        for res in geo:
+            assert res.value >= res.lower_bound - 1e-8
+        for res in ent:
+            assert res.lower_bound == 0.0

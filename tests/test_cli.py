@@ -184,6 +184,16 @@ class TestCompute:
         assert captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_memory_error_exits_2(self, bell_file, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(cli, "geo_discord_two_sided", failing)
+        assert main(["compute", bell_file, *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 14.6 TiB\n"
+
     def test_one_dimensional_side_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(

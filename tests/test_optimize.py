@@ -10,7 +10,6 @@ import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord import optimize
 from twodiscord import entropic
-from twodiscord import geometric
 from twodiscord.entropic import RETAINED_INFORMATION, shannon_bits
 from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
@@ -31,7 +30,7 @@ from twodiscord.optimize import (
     rotated_states,
     warm_start_bases,
 )
-from twodiscord.verification import random_bipartite
+from twodiscord.verification import random_basis, random_bipartite
 
 from compass_reference import (
     TablePolls,
@@ -52,10 +51,18 @@ class TestConfig:
         cfg = OptimizerConfig()
         assert (cfg.restarts, cfg.seed) == (64, 0)
 
-    @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(seed=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(seed=-1),
+                                        dict(restarts=2.5), dict(restarts=True),
+                                        dict(restarts="4"), dict(seed=0.5),
+                                        dict(seed=float("nan")), dict(seed=False)])
     def test_validation(self, kwargs):
         with pytest.raises(td.DomainError):
             OptimizerConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(restarts=np.int64(3), seed=np.uint8(5))
+        res = jacobi_search(td.werner(2, 0.3).reshaped(), ("A", "B"), cfg)
+        assert res.restarts_run == 3
 
 
 class TestMaximizeOverBases:
@@ -90,7 +97,7 @@ class TestLockstep:
         r = random_bipartite(np.random.default_rng([7, 3, 3]), 3, 3).reshaped()
         cfg = OptimizerConfig(restarts=8, seed=1)
         for res in (jacobi_search(r, ("A", "B"), cfg),
-                    compass_search(TablePolls(r, geometric._retained_purity), (3, 3), cfg),
+                    compass_search(TablePolls(r, optimize._retained_purities), (3, 3), cfg),
                     *(jacobi_search(r, sides, cfg, objective=RETAINED_INFORMATION)
                       for sides in (("A", "B"), ("A",), ("B",)))):
             assert (res.iterations_total, res.restarts_run, res.converged) == (16, 8, False)
@@ -273,7 +280,7 @@ class TestJacobiStep:
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
     def test_two_sided_step_is_exact_and_beats_polls(self, dims):
         r, points = self._setup(dims)
-        scorer = TablePolls(r, geometric._retained_purity)
+        scorer = TablePolls(r, optimize._retained_purities)
         base = scorer.values(points)
         rt = rotated_states(r, *points)
         p = np.einsum("rabab->rab", rt).real
@@ -364,6 +371,26 @@ class TestJacobiSearch:
                                                                   rep2.iterations_total)
 
 
+    @pytest.mark.parametrize("objective", [optimize.RETAINED_PURITY, RETAINED_INFORMATION])
+    @pytest.mark.parametrize("sides", [("A", "B"), ("A",), ("B",)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_search_bases_is_jacobi_search(self, dims, sides, objective):
+        # the one call of every basis-search discord runs jacobi_search from
+        # warm_start_bases, bit for bit, and wraps the winning unitaries
+        rng = np.random.default_rng([37, *dims, len(sides)])
+        state = random_bipartite(rng, *dims)
+        extra = [random_basis(rng, dims["AB".index(sides[0])])] if len(sides) == 1 else []
+        cfg = OptimizerConfig(restarts=4, seed=3)
+        res, m = optimize.search_bases(state, sides, cfg, objective, extra)
+        want = jacobi_search(state.reshaped(), sides, cfg,
+                             warm_start_bases(state, sides, extra), objective)
+        assert (res.best_value, res.iterations_total) == (want.best_value, want.iterations_total)
+        bases = [m.basis_a, m.basis_b] if len(sides) == 2 else [m]
+        for basis, u, v in zip(bases, res.best_params, want.best_params, strict=True):
+            assert np.array_equal(u, v)
+            assert np.array_equal(basis.vectors, u)
+
+
 class TestJacobiAgainstCompass:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_never_above_compass_reference(self, dims):
@@ -375,7 +402,7 @@ class TestJacobiAgainstCompass:
             cfg = OptimizerConfig(restarts=16, seed=seed)
             warm = warm_start_bases(state, ("A", "B"))
             jac = jacobi_search(r, ("A", "B"), cfg, warm)
-            ref = compass_search(TablePolls(r, geometric._retained_purity), dims, cfg, warm)
+            ref = compass_search(TablePolls(r, optimize._retained_purities), dims, cfg, warm)
             assert jac.best_value >= ref.best_value - 1e-10
 
 
