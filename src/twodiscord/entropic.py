@@ -6,9 +6,8 @@ Both discords maximize a retained information over measurement bases by
 the moved rows of the dephased table, or the moved blocks of the measured
 side, are a +- X with X linear in a unit 3-vector v; the objective moves by
 phi(a + X) + phi(a - X), whose closed-form derivatives in v drive the plane
-solve's Newton step (``optimize.plane_ascent``). ``shannon_bits`` and
-``entropy_of_spectra`` are the entropies here and in ``verification``, with
-one floor for 0 log 0.
+solve's Newton step (``optimize.plane_ascent``). Every entropy here and in
+``verification`` is built on ``plogp``, the one floor for 0 log 0.
 """
 
 from __future__ import annotations
@@ -33,10 +32,19 @@ from .states import BipartiteState, DensityMatrix, partial_trace
 EIG_FLOOR = 1e-14
 
 
+def plogp(p: np.ndarray, out=None) -> np.ndarray:
+    """p log2 p elementwise, 0 where p < ``EIG_FLOOR`` (0 log 0 = 0).
+
+    ``out`` must not alias ``p``: p is read again after ``out`` is written.
+    """
+    # the bool p < EIG_FLOOR counts as 1, so the max is 1 below the floor and p above it
+    safe = np.log2(np.maximum(p, p < EIG_FLOOR, out=out), out=out)
+    return np.multiply(safe, p, out=out)
+
+
 def shannon_bits(p: np.ndarray, axis) -> np.ndarray:
-    """-sum p log2 p with the 0 log 0 = 0 convention (floor ``EIG_FLOOR``)."""
-    safe = np.where(p < EIG_FLOOR, 1.0, p)
-    return -np.sum(p * np.log2(safe), axis=axis)
+    """-sum p log2 p with the 0 log 0 = 0 convention of ``plogp``."""
+    return -np.sum(plogp(p), axis=axis)
 
 
 def entropy_of_spectra(w: np.ndarray, axis=-1) -> np.ndarray:
@@ -201,9 +209,9 @@ def discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
     Jacobi sweeps of ``search_bases`` on ``RETAINED_INFORMATION``.
     """
     _check_side(side)
-    res, basis = search_bases(state, (side,), cfg, RETAINED_INFORMATION, extra_warm_starts)
-    value = entropy(partial_trace(state, side)) - entropy(state.rho) - res.best_value
-    return DiscordValue(float(value), basis, 0.0, res)
+    total = entropy(partial_trace(state, side)) - entropy(state.rho)
+    return search_bases(state, (side,), cfg, total, 0.0, RETAINED_INFORMATION,
+                        extra_warm_starts)
 
 
 def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordValue:
@@ -212,5 +220,5 @@ def discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> DiscordVal
     The bases come from the Jacobi sweeps of ``search_bases`` on
     ``RETAINED_INFORMATION``.
     """
-    res, m = search_bases(state, ("A", "B"), cfg, RETAINED_INFORMATION)
-    return DiscordValue(float(mutual_information(state) - res.best_value), m, 0.0, res)
+    return search_bases(state, ("A", "B"), cfg, mutual_information(state), 0.0,
+                        RETAINED_INFORMATION)

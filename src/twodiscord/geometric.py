@@ -28,7 +28,7 @@ from .optimize import (
     bloch_pair_objective,
     search_bases,
 )
-from .states import BipartiteState, from_bloch, purity
+from .states import BipartiteState, _check_family, from_bloch, purity
 
 GRAM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -176,19 +176,13 @@ def dephased_purity(state: BipartiteState, m: ProductMeasurement) -> float:
 
 def werner_geo_closed(m: int, x: float) -> float:
     """(mx - 1)^2 / (m (m-1) (m+1)^2); zero exactly at x = 1/m."""
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [-1, 1], got {x}")
+    _check_family("werner", m, x)
     return (m * x - 1) ** 2 / (m * (m - 1) * (m + 1) ** 2)
 
 
 def isotropic_geo_closed(m: int, x: float) -> float:
     """(m^2 x - 1)^2 / (m (m-1) (m+1)^2); zero exactly at x = 1/m^2."""
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _check_family("isotropic", m, x)
     return (m**2 * x - 1) ** 2 / (m * (m - 1) * (m + 1) ** 2)
 
 
@@ -228,9 +222,8 @@ def geo_discord_two_sided(state: BipartiteState, cfg: OptimizerConfig) -> Discor
     the dephased state itself (quadratic completion). The bases come from
     the exact Jacobi sweeps of ``search_bases``.
     """
-    res, m = search_bases(state, ("A", "B"), cfg)
     bound = lower_bound_two_sided(correlation_matrix(state))
-    return DiscordValue(purity(state.rho) - res.best_value, m, bound, res)
+    return search_bases(state, ("A", "B"), cfg, purity(state.rho), bound)
 
 
 def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig,
@@ -241,9 +234,8 @@ def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig
     measured qubit the first step already reaches the global optimum.
     """
     _check_side(side)
-    res, basis = search_bases(state, (side,), cfg, extra=extra_warm_starts)
     bound = lower_bound_one_sided(correlation_matrix(state), side)
-    return DiscordValue(purity(state.rho) - res.best_value, basis, bound, res)
+    return search_bases(state, (side,), cfg, purity(state.rho), bound, extra=extra_warm_starts)
 
 
 # ---------------------------------------------------------------------------

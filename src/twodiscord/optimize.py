@@ -7,7 +7,8 @@ its step. The basis searches iterate the measurement unitaries themselves,
 from the warm starts of ``warm_start_bases``, the same in every dimension,
 then Haar random restarts (``_start_points``); the one engine,
 ``jacobi_search``, supplies their step. Every discord that searches bases
-calls it through ``search_bases`` and reports a ``DiscordValue``.
+calls it through ``search_bases``, which assembles its ``DiscordValue``:
+the state's total minus the best retained value, with the caller's bound.
 
 ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
 rotates a round of disjoint Givens planes, each by the rotation its
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .measurement import ProductMeasurement, _basis_unchecked, _haar_from_ginibre
 from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
 
@@ -102,6 +103,10 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
     one-sided search.
     """
     dims = {"A": state.dim_a, "B": state.dim_b}
+    for basis in extra:
+        if basis.dim != dims[sides[0]]:
+            raise DimensionMismatchError(f"an extra warm start has dimension {basis.dim}, "
+                                         f"side {sides[0]} has {dims[sides[0]]}")
     return [tuple(np.eye(dims[s], dtype=complex) for s in sides),
             tuple(np.linalg.eigh(partial_trace(state, s).entries)[1] for s in sides),
             *((basis.vectors,) for basis in extra)]
@@ -427,10 +432,11 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
     return _lockstep(points, values, sweep)
 
 
-def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig,
-                 objective: PlaneObjective = RETAINED_PURITY, extra=()):
-    """``jacobi_search`` on ``state`` from the ``warm_start_bases`` of
-    ``sides`` and ``extra``; returns (result, measurement).
+def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig, total, lower_bound,
+                 objective: PlaneObjective = RETAINED_PURITY, extra=()) -> DiscordValue:
+    """The discord ``total`` minus the best retained ``objective`` found by
+    ``jacobi_search`` on ``state`` from the ``warm_start_bases`` of ``sides``
+    and ``extra``, with ``lower_bound`` under it.
 
     The measurement is the winning ProductMeasurement when both sides are
     measured, the winning OrthonormalBasis when one is.
@@ -438,7 +444,8 @@ def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig,
     res = jacobi_search(state.reshaped(), sides, cfg, warm_start_bases(state, sides, extra),
                         objective)
     bases = [_basis_unchecked(u) for u in res.best_params]
-    return res, ProductMeasurement(*bases) if len(sides) == 2 else bases[0]
+    m = ProductMeasurement(*bases) if len(sides) == 2 else bases[0]
+    return DiscordValue(float(total - res.best_value), m, lower_bound, res)
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,22 @@ def max_entangled_projector(m: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def werner(m: int, x: float) -> BipartiteState:
-    """The m x m swap-symmetric one-parameter family, x in [-1, 1]."""
+# family -> the closed interval of its parameter x
+FAMILY_DOMAINS = {"werner": (-1.0, 1.0), "isotropic": (0.0, 1.0)}
+
+
+def _check_family(family: str, m: int, x: float):
+    """Reject m < 2 and an x outside the family's domain."""
     if m < 2:
         raise DomainError("m must be >= 2")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [-1, 1], got {x}")
+    lo, hi = FAMILY_DOMAINS[family]
+    if not lo <= x <= hi:
+        raise DomainError(f"x must lie in [{lo:g}, {hi:g}], got {x}")
+
+
+def werner(m: int, x: float) -> BipartiteState:
+    """The m x m swap-symmetric one-parameter family, x in [-1, 1]."""
+    _check_family("werner", m, x)
     ident = np.eye(m * m, dtype=complex)
     f = swap_operator(m)
     rho = (m - x) / (m**3 - m) * ident + (m * x - 1) / (m**3 - m) * f
@@ -194,10 +204,7 @@ def werner(m: int, x: float) -> BipartiteState:
 
 def isotropic(m: int, x: float) -> BipartiteState:
     """The m x m maximally-entangled-projector family, x in [0, 1]."""
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _check_family("isotropic", m, x)
     ident = np.eye(m * m, dtype=complex)
     mm = max_entangled_projector(m)
     rho = (1 - x) / (m**2 - 1) * ident + (m**2 * x - 1) / (m**2 - 1) * mm

@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import DomainError
 from .entropic import (
-    EIG_FLOOR,
     discord_two_sided,
     loss_split,
     measured_loss_two_sided,
     mutual_information,
+    plogp,
     shannon_bits,
 )
 from .geometric import (
@@ -55,6 +55,7 @@ from .optimize import (
     sphere_grid_oracle,
 )
 from .states import (
+    FAMILY_DOMAINS,
     BipartiteState,
     DensityMatrix,
     TwoQubitBloch,
@@ -163,7 +164,7 @@ def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
     |zeta_s| <= |w_s| <= p_s, a valid table. Antipodal vertices only
     relabel t, so the K vertices of consecutive lines k, k + 1 (k < K)
     suffice. Vertex values follow the grid's floor rules: entries clipped
-    at 0, and p log p = 0 below ``EIG_FLOOR``. At K = 8 a pure state
+    at 0, and p log p by ``plogp``. At K = 8 a pure state
     leaves about one chunk of rows to score.
     """
     k = _ROW_BOUND_LINES
@@ -181,19 +182,14 @@ def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
     z_m = (c[:-1] * h[1:] - c[1:] * h[:-1]) / det
     qa = 0.25 * (1.0 + q[:, 0]), 0.25 * (1.0 - q[:, 0])  # p_s / 2
     h_a = shannon_bits(np.clip(2.0 * np.stack(qa), 0.0, None), axis=0)
-
-    def plogp(e):
-        np.maximum(e, 0.0, out=e)
-        return e * np.log2(np.where(e < EIG_FLOOR, 1.0, e))
-
     # H(A) + H(B) - H(A, B), with p(s, t) = p_s / 2 + t zeta_s / 2 and
     # P(t) = 1 / 2 + t (zeta_+ + zeta_-) / 2
     zb = z_p + z_m
-    retained = plogp(0.5 - zb) + plogp(zb + 0.5)
+    retained = plogp(np.maximum(0.5 - zb, 0.0)) + plogp(np.maximum(zb + 0.5, 0.0))
     np.negative(retained, out=retained)
     for q_s, z_s in zip(qa, (z_p, z_m)):
-        retained += plogp(q_s + z_s)
-        retained += plogp(q_s - z_s)
+        retained += plogp(np.maximum(q_s + z_s, 0.0))
+        retained += plogp(np.maximum(q_s - z_s, 0.0))
     return h_a + retained.max(axis=0)
 
 
@@ -231,7 +227,6 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     order = np.argsort(-bound, kind="stable")
     chunk = 32
     m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))
-    small = np.empty((chunk, n), dtype=bool)
     best = -np.inf
     for lo in range(0, n, chunk):
         rows = order[lo:lo + chunk]
@@ -240,22 +235,17 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
         if not c:
             break
         rows = rows[:c]
-        mc, pc, tc, rc, sc = m[:c], p[:c], term[:c], retained[:c], small[:c]
+        mc, pc, tc, rc = m[:c], p[:c], term[:c], retained[:c]
         np.matmul(pts[rows], t_rows, out=mc)
         mc *= 0.25
         # retained information H(A) + H(B) - H(A, B), with H(A, B) subtracted
-        # term by term as + p log p (0 where p < EIG_FLOOR, as in shannon_bits)
+        # term by term as + p log p (``plogp``)
         np.add(h_a[rows, None], h_b, out=rc)
         for i in range(2):
             for j in range(2):
                 np.add(qa[i, rows, None], qb[j], out=pc)
                 (np.add if i == j else np.subtract)(pc, mc, out=pc)
-                np.maximum(pc, 0.0, out=pc)
-                np.less(pc, EIG_FLOOR, out=sc)
-                np.maximum(pc, sc, out=tc)  # p, or 1 where p < EIG_FLOOR
-                np.log2(tc, out=tc)
-                tc *= pc
-                rc += tc
+                rc += plogp(np.maximum(pc, 0.0, out=pc), out=tc)
         best = max(best, float(rc.max()))
     return mutual_information(state) - best
 
@@ -406,7 +396,8 @@ def hierarchy(state: BipartiteState, cfg: OptimizerConfig, two_sided, one_sided)
 
 @dataclass
 class AuditReport:
-    """Counts, violations and worst margins of the margins recorded so far."""
+    """Counts, violations and worst margins of the margins recorded so far;
+    ``started`` is the ``_clock()`` reading when the report was made."""
 
     n_states: int = 0
     dims: tuple = ()
@@ -414,6 +405,7 @@ class AuditReport:
     checks: int = 0
     violations: list = field(default_factory=list)
     worst_margins: dict = field(default_factory=dict)
+    started: tuple = field(default_factory=_clock)
 
     def record(self, margins: dict, k: int):
         """Judge the margins of sample ``k`` by ``TOLERANCES``."""
@@ -423,9 +415,9 @@ class AuditReport:
         self.violations += [f"state {k}: {name} margin {margins[name]:.3e}"
                             for name in violated(margins)]
 
-    def check(self, name: str, t0) -> CheckResult:
-        """The verdict on what was recorded since ``t0 = _clock()``."""
-        dt, cpu = _since(t0)
+    def check(self, name: str) -> CheckResult:
+        """The verdict on what was recorded since the report was made."""
+        dt, cpu = _since(self.started)
         worst = ", ".join(f"{n} {v:.2e} (tol {TOLERANCES[n]:g})"
                           for n, v in self.worst_margins.items())
         return CheckResult(
@@ -444,13 +436,12 @@ def _small(cfg: OptimizerConfig) -> OptimizerConfig:
 
 # family -> (state(m, x), closed-form two-sided geometric discord(m, x), x domain)
 CLOSED_FORMS = {
-    "werner": (werner, werner_geo_closed, (-1.0, 1.0)),
-    "isotropic": (isotropic, isotropic_geo_closed, (0.0, 1.0)),
+    "werner": (werner, werner_geo_closed, FAMILY_DOMAINS["werner"]),
+    "isotropic": (isotropic, isotropic_geo_closed, FAMILY_DOMAINS["isotropic"]),
 }
 
 
 def _closed_form_sweep(family: str, cfg: OptimizerConfig, ms, points) -> CheckResult:
-    t0 = _clock()
     rep = AuditReport()
     make, closed, (lo, hi) = CLOSED_FORMS[family]
     for k, (m, x) in enumerate(itertools.product(ms, np.linspace(lo, hi, points))):
@@ -460,8 +451,8 @@ def _closed_form_sweep(family: str, cfg: OptimizerConfig, ms, points) -> CheckRe
     if family == "isotropic":
         for m in ms:
             rep.record({"isotropic-zero": -abs(isotropic_geo_closed(m, 1.0 / m**2))}, m)
-    rep.record({f"{family}-budget": SWEEP_BUDGET_S - _since(t0)[0]}, len(ms) * points)
-    return rep.check(f"{family}-closed-form", t0)
+    rep.record({f"{family}-budget": SWEEP_BUDGET_S - _since(rep.started)[0]}, len(ms) * points)
+    return rep.check(f"{family}-closed-form")
 
 
 def check_werner_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21) -> CheckResult:
@@ -474,7 +465,6 @@ def check_isotropic_sweep(cfg: OptimizerConfig, ms=(2, 3, 4), points=21) -> Chec
 
 
 def check_bell_routes(cfg: OptimizerConfig) -> CheckResult:
-    t0 = _clock()
     rep = AuditReport()
     bell = bell_state()
     small = _small(cfg)
@@ -490,11 +480,10 @@ def check_bell_routes(cfg: OptimizerConfig) -> CheckResult:
     ent = discord_two_sided(bell, small).value
     oracle = entropic_oracle_two_qubit(bell, resolution=32)
     rep.record({"bell-entropic": -max(abs(ent - 1.0), abs(ent - oracle))}, 0)
-    return rep.check("bell-state-routes", t0)
+    return rep.check("bell-state-routes")
 
 
 def check_bloch_special_cases(cfg: OptimizerConfig, n=20, seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 41])
     rep = AuditReport()
     for k in range(n):
@@ -513,21 +502,19 @@ def check_bloch_special_cases(cfg: OptimizerConfig, n=20, seed=0) -> CheckResult
         gap = max(abs(closed - two_qubit_geo(b, small).value),
                   abs(closed - geo_discord_two_sided(st, small).value))
         rep.record({"special-zero-marginal": -gap}, k)
-    return rep.check("two-qubit-special-cases", t0)
+    return rep.check("two-qubit-special-cases")
 
 
 def check_loss_properties(n22=500, n23=200, seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 42])
     rep = AuditReport()
     for k, (na, nb) in enumerate([(2, 2)] * n22 + [(2, 3)] * n23):
         st = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
         rep.record(loss_margins(st, random_product_measurement(rng, na, nb)), k)
-    return rep.check("loss-nonnegativity-split", t0)
+    return rep.check("loss-nonnegativity-split")
 
 
 def check_zero_sets(cfg: OptimizerConfig, n=50, seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 43])
     small = _small(cfg)
     rep = AuditReport()
@@ -537,11 +524,10 @@ def check_zero_sets(cfg: OptimizerConfig, n=50, seed=0) -> CheckResult:
             st = draw(rng, 2, 2)
             rep.record({f"zero-{kind}-geometric": -geo_discord_two_sided(st, small).value,
                         f"zero-{kind}-entropic": -discord_two_sided(st, small).value}, k)
-    return rep.check("zero-sets", t0)
+    return rep.check("zero-sets")
 
 
 def check_bounds_hierarchy(cfg: OptimizerConfig, n=200, seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 44])
     small = _small(cfg)
     rep = AuditReport()
@@ -549,11 +535,10 @@ def check_bounds_hierarchy(cfg: OptimizerConfig, n=200, seed=0) -> CheckResult:
         st = random_bipartite(rng, 2, 2, rank=int(rng.integers(1, 5)))
         results = hierarchy(st, small, geo_discord_two_sided, geo_discord_one_sided)
         rep.record(geometric_margins(*results), k)
-    return rep.check("bounds-hierarchy", t0)
+    return rep.check("bounds-hierarchy")
 
 
 def check_identities(n=500, n_completion=200, seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 45])
     rep = AuditReport()
     for k in range(n):
@@ -566,12 +551,11 @@ def check_identities(n=500, n_completion=200, seed=0) -> CheckResult:
         m = random_product_measurement(rng, na, nb)
         p = rng.dirichlet(np.ones(na * nb)).reshape(na, nb)
         rep.record(completion_margins(st, m, p), k)
-    return rep.check("correlation-identities", t0)
+    return rep.check("correlation-identities")
 
 
 def check_oracle_certification(cfg: OptimizerConfig, n=50, resolution=400,
                                seed=0) -> CheckResult:
-    t0 = _clock()
     rng = np.random.default_rng([seed, 46])
     small = _small(cfg)
     rep = AuditReport()
@@ -579,7 +563,7 @@ def check_oracle_certification(cfg: OptimizerConfig, n=50, resolution=400,
         b = to_bloch(random_bipartite(rng, 2, 2))
         _, _, alt = alternating_sphere_max(b, small)
         rep.record({"oracle": -abs(alt - sphere_grid_oracle(b, resolution))}, k)
-    return rep.check("oracle-certification", t0)
+    return rep.check("oracle-certification")
 
 
 def run_verify(quick=False, seed=0, restarts=64) -> list[CheckResult]:

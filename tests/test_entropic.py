@@ -3,7 +3,7 @@ import pytest
 
 import twodiscord as td
 from twodiscord import OptimizerConfig
-from twodiscord.entropic import shannon_bits
+from twodiscord.entropic import EIG_FLOOR, plogp, shannon_bits
 from twodiscord.measurement import haar_unitary
 from twodiscord.optimize import projective_grid
 from twodiscord.verification import (
@@ -18,6 +18,7 @@ from twodiscord.verification import (
 )
 
 from grid_reference import sphere_grid
+from koashi_winter_reference import koashi_winter_bound
 
 CFG = OptimizerConfig(restarts=16, seed=0)
 
@@ -26,6 +27,17 @@ def shannon_oracle(probs):
     probs = np.asarray(probs, dtype=float)
     probs = probs[probs > 1e-14]
     return float(-np.sum(probs * np.log2(probs)))
+
+
+def test_plogp_is_the_where_form_bit_for_bit():
+    # zeros of both signs, entries around and below the floor, and negatives
+    tiny = np.random.default_rng(3).uniform(0.0, EIG_FLOOR, 8)
+    p = np.concatenate([[0.0, -0.0, 5e-324, np.nextafter(EIG_FLOOR, 0.0), EIG_FLOOR, 0.5, 1.0,
+                         -1e-16, -EIG_FLOOR, -0.25], tiny, -tiny])
+    want = p * np.log2(np.where(p < EIG_FLOOR, 1.0, p))
+    out = np.empty_like(p)
+    assert plogp(p).tobytes() == want.tobytes()
+    assert plogp(p, out=out) is out and out.tobytes() == want.tobytes()
 
 
 class TestEntropy:
@@ -297,3 +309,24 @@ class TestBellDiagonal:
             assert td.discord_two_sided(state, CFG).value == pytest.approx(1.0, abs=1e-10)
         state, c = _bell_diagonal(np.full(4, 0.25))
         assert td.discord_two_sided(state, CFG).value == pytest.approx(0.0, abs=1e-10)
+
+
+class TestKoashiWinter:
+    """On two-qubit states of rank <= 2 the one-sided entropic discord lies
+    just above the POVM value S(side) - S(AB) + E_f of the Koashi-Winter
+    relation (``koashi_winter_reference``); the projective optimum may
+    exceed it only by the small POVM advantage."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_one_sided_meets_the_bound(self, rank):
+        for seed in range(15):
+            state = td.random_state(2, 2, rank, 100 * rank + seed)
+            for side in ("A", "B"):
+                gap = td.discord_one_sided(state, side, CFG).value - koashi_winter_bound(state, side)
+                assert -1e-12 <= gap <= 1e-6, (seed, side, gap)
+
+    def test_pure_state_bound_is_the_marginal_entropy(self):
+        state = td.random_state(2, 2, 1, 5)
+        for side in ("A", "B"):
+            want = td.entropy(td.partial_trace(state, side))
+            assert koashi_winter_bound(state, side) == pytest.approx(want, abs=1e-12)

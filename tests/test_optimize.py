@@ -121,6 +121,14 @@ class TestLockstep:
         np.testing.assert_array_equal(starts[1][0], eig)
         np.testing.assert_array_equal(starts[2][0], basis.vectors)
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("discord", [td.geo_discord_one_sided, td.discord_one_sided])
+    def test_extra_warm_start_of_wrong_dimension_rejected(self, discord, side):
+        state = td.random_state(2, 3, 6, 0)
+        with pytest.raises(td.DimensionMismatchError, match=f"side {side} has"):
+            discord(state, side, OptimizerConfig(restarts=2),
+                    extra_warm_starts=[td.computational_basis(4)])
+
 
 class TestPatternSearch:
     def test_deterministic_given_seed(self):
@@ -376,15 +384,21 @@ class TestJacobiSearch:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_search_bases_is_jacobi_search(self, dims, sides, objective):
         # the one call of every basis-search discord runs jacobi_search from
-        # warm_start_bases, bit for bit, and wraps the winning unitaries
+        # warm_start_bases, bit for bit, wraps the winning unitaries, and
+        # reports the total minus the best value over the caller's bound
         rng = np.random.default_rng([37, *dims, len(sides)])
         state = random_bipartite(rng, *dims)
         extra = [random_basis(rng, dims["AB".index(sides[0])])] if len(sides) == 1 else []
         cfg = OptimizerConfig(restarts=4, seed=3)
-        res, m = optimize.search_bases(state, sides, cfg, objective, extra)
+        total, bound = 1.0 + rng.random(), rng.random()
+        got = optimize.search_bases(state, sides, cfg, total, bound, objective, extra)
         want = jacobi_search(state.reshaped(), sides, cfg,
                              warm_start_bases(state, sides, extra), objective)
-        assert (res.best_value, res.iterations_total) == (want.best_value, want.iterations_total)
+        res = got.optimizer_report
+        assert ((res.best_value, res.restarts_run, res.iterations_total, res.converged)
+                == (want.best_value, want.restarts_run, want.iterations_total, want.converged))
+        assert got.value == float(total - want.best_value) and got.lower_bound == bound
+        m = got.optimal_measurement
         bases = [m.basis_a, m.basis_b] if len(sides) == 2 else [m]
         for basis, u, v in zip(bases, res.best_params, want.best_params, strict=True):
             assert np.array_equal(u, v)

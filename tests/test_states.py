@@ -9,7 +9,7 @@ from twodiscord import (
     NonUnitTraceError,
     NotPositiveSemidefiniteError,
 )
-from twodiscord.states import PAULI, max_entangled_projector, swap_operator
+from twodiscord.states import FAMILY_DOMAINS, PAULI, max_entangled_projector, swap_operator
 
 
 def brute_partial_trace(rho, na, nb, keep):
@@ -144,6 +144,23 @@ class TestWerner:
             td.werner(2, 1.5)
         with pytest.raises(DomainError):
             td.werner(1, 0.0)
+
+
+@pytest.mark.parametrize("family, make", [
+    ("werner", td.werner), ("isotropic", td.isotropic),
+    ("werner", td.werner_geo_closed), ("isotropic", td.isotropic_geo_closed),
+])
+def test_family_domain_users_share_one_check(family, make):
+    lo, hi = FAMILY_DOMAINS[family]
+    with pytest.raises(DomainError, match=r"^m must be >= 2$"):
+        make(1, lo)
+    shown = {"werner": "[-1, 1]", "isotropic": "[0, 1]"}[family]
+    for x in (float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))):
+        with pytest.raises(DomainError) as err:
+            make(2, x)
+        assert str(err.value) == f"x must lie in {shown}, got {x}"
+    for x in (lo, hi):  # the endpoints belong to the domain
+        make(2, x)
 
 
 class TestIsotropic:
