@@ -12,20 +12,18 @@ import argparse
 import numpy as np
 
 import twodiscord as td
+from twodiscord.states import FAMILY_DOMAINS
+from twodiscord.verification import CLOSED_FORMS, closed_form_points
 
 
 def sweep(family, m, xs, cfg):
-    make = td.werner if family == "werner" else td.isotropic
-    closed = td.werner_geo_closed if family == "werner" else td.isotropic_geo_closed
     print(f"\n{family} family, m={m}")
     print(f"{'x':>8} {'closed':>14} {'numeric':>14} {'gap':>10}")
     worst = 0.0
-    for x in xs:
-        want = closed(m, x)
-        got = td.geo_discord_two_sided(make(m, x), cfg).value
-        gap = abs(got - want)
+    for x, want, res in closed_form_points(family, m, xs, cfg):
+        gap = abs(res.value - want)
         worst = max(worst, gap)
-        print(f"{x:8.3f} {want:14.9f} {got:14.9f} {gap:10.2e}")
+        print(f"{x:8.3f} {want:14.9f} {res.value:14.9f} {gap:10.2e}")
     return worst
 
 
@@ -37,11 +35,11 @@ def main():
     args = ap.parse_args()
 
     cfg = td.OptimizerConfig(restarts=args.restarts, seed=0)
-    w = sweep("werner", args.m, np.linspace(-1.0, 1.0, args.points), cfg)
-    i = sweep("isotropic", args.m, np.linspace(0.0, 1.0, args.points), cfg)
+    worst = {family: sweep(family, args.m, np.linspace(*FAMILY_DOMAINS[family], args.points), cfg)
+             for family in CLOSED_FORMS}
 
     m = args.m
-    print(f"\nworst gaps: werner {w:.2e}, isotropic {i:.2e}")
+    print(f"\nworst gaps: werner {worst['werner']:.2e}, isotropic {worst['isotropic']:.2e}")
     print(f"werner closed form vanishes at x = 1/m = {1 / m:.6f}:",
           td.werner_geo_closed(m, 1 / m))
     print(f"isotropic closed form vanishes at x = 1/m^2 = {1 / m**2:.6f}:",

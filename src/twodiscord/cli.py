@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,40 +21,17 @@ from .errors import DiscordError, DomainError
 from .geometric import geo_discord_one_sided, geo_discord_two_sided
 from .optimize import OptimizerConfig
 from .serialize import load_state
-from .states import purity
+from .states import _check_family, purity
 from .verification import (
     CLOSED_FORMS,
     audit_states,
+    closed_form_points,
     entropic_margins,
     geometric_margins,
     hierarchy,
     run_verify,
     violated,
 )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A parameter sweep over one closed-form state family."""
-
-    family: str
-    m: int
-    x_start: float
-    x_end: float
-    points: int
-
-    def __post_init__(self):
-        if self.family not in CLOSED_FORMS:
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.m < 2:
-            raise DomainError("m must be >= 2")
-        if self.points < 2:
-            raise DomainError("points must be >= 2")
-        lo, hi = CLOSED_FORMS[self.family][2]
-        if not (lo <= self.x_start <= self.x_end <= hi):
-            raise DomainError(
-                f"x range [{self.x_start}, {self.x_end}] outside [{lo}, {hi}]"
-            )
 
 
 def _fmt(v) -> str:
@@ -139,19 +115,20 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(args.family, args.m, args.x_start, args.x_end, args.points)
-    cfg = _config(args)
-    make, closed, _ = CLOSED_FORMS[spec.family]
+    for x in (args.x_start, args.x_end):
+        _check_family(args.family, args.m, x)
+    if args.points < 2:
+        raise DomainError("points must be >= 2")
+    if args.x_start > args.x_end:
+        raise DomainError(f"x-start {args.x_start} exceeds x-end {args.x_end}")
+    xs = np.linspace(args.x_start, args.x_end, args.points)
     lines = ["family,m,x,geo_closed,geo_numeric,lower_bound,abs_gap"]
     ok = True
-    for x in np.linspace(spec.x_start, spec.x_end, spec.points):
-        x = float(x)
-        res = geo_discord_two_sided(make(spec.m, x), cfg)
-        want = closed(spec.m, x)
+    for x, want, res in closed_form_points(args.family, args.m, xs, _config(args)):
         gap = abs(want - res.value)
-        ok = ok and not violated({f"{spec.family}-closed-form": -gap})
+        ok = ok and not violated({f"{args.family}-closed-form": -gap})
         lines.append(
-            f"{spec.family},{spec.m},{_fmt(x)},{_fmt(want)},{_fmt(res.value)},"
+            f"{args.family},{args.m},{_fmt(x)},{_fmt(want)},{_fmt(res.value)},"
             f"{_fmt(res.lower_bound)},{_fmt(gap)}"
         )
     _write(args, "\n".join(lines) + "\n")

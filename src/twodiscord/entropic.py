@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import (
-    ProductMeasurement,
-    _check_side,
-    dephase_one_sided,
-    diagonal_distribution,
-)
+from .measurement import ProductMeasurement, dephase_one_sided, diagonal_distribution
 from .optimize import (
     DiscordValue,
     OptimizerConfig,
@@ -27,7 +22,7 @@ from .optimize import (
     plane_ascent,
     search_bases,
 )
-from .states import BipartiteState, DensityMatrix, partial_trace
+from .states import BipartiteState, DensityMatrix, _check_side, partial_trace
 
 EIG_FLOOR = 1e-14
 

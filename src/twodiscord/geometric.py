@@ -8,27 +8,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    NotUnitVectorError,
-    NumericalResidueError,
-)
+from .errors import DimensionMismatchError, DomainError, NumericalResidueError
 from .measurement import (
     OrthonormalBasis,
     ProductMeasurement,
-    _check_side,
+    _unit_3vector,
     bloch_basis,
     diagonal_distribution,
 )
-from .optimize import (
-    DiscordValue,
-    OptimizerConfig,
-    _alternating_detail,
-    bloch_pair_objective,
-    search_bases,
-)
-from .states import BipartiteState, _check_family, from_bloch, purity
+from .optimize import DiscordValue, OptimizerConfig, _alternating_detail, search_bases
+from .states import BipartiteState, _check_family, _check_side, from_bloch, purity
 
 GRAM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -242,13 +231,9 @@ def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig
 # two-qubit Bloch forms
 
 def two_qubit_geo_objective(b, a, bv) -> float:
-    """(a.x)^2 + (b.y)^2 + (a T b)^2 for unit vectors a, b."""
-    a = np.asarray(a, dtype=float)
-    bv = np.asarray(bv, dtype=float)
-    for v in (a, bv):
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # also rejects NaN
-            raise NotUnitVectorError("a and b must be unit 3-vectors")
-    return bloch_pair_objective(b.x, b.y, b.t, a, bv)
+    """(a.x)^2 + (b.y)^2 + (a T b)^2 for unit 3-vectors a, b."""
+    a, bv = _unit_3vector(a), _unit_3vector(bv)
+    return float((a @ b.x) ** 2 + (bv @ b.y) ** 2 + (a @ b.t @ bv) ** 2)
 
 
 def two_qubit_geo(b, cfg: OptimizerConfig) -> DiscordValue:

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotUnitVectorError
-from .states import PAULI, BipartiteState, DensityMatrix, _ginibre_matrix, classical_classical
+from .states import (
+    PAULI,
+    BipartiteState,
+    DensityMatrix,
+    _check_side,
+    _ginibre_matrix,
+    classical_classical,
+)
 
 UNITARY_TOL = 1e-10
 
@@ -78,17 +85,24 @@ def computational_basis(dim: int) -> OrthonormalBasis:
     return _basis_unchecked(np.eye(dim, dtype=complex))
 
 
+def _unit_3vector(v) -> np.ndarray:
+    """``v`` as a float array, checked to be a real 3-vector of norm 1."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise DimensionMismatchError(f"expected a real 3-vector, got shape {v.shape}")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= UNITARY_TOL:  # also rejects NaN
+        raise NotUnitVectorError(f"norm is {norm}, expected 1")
+    return v
+
+
 def bloch_basis(a) -> OrthonormalBasis:
     """Qubit basis whose projectors are (I +- a.sigma)/2 for a real unit 3-vector.
 
     The first column is the +a eigenvector, fixed by the convention
     (cos(theta/2), e^{i phi} sin(theta/2)).
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise DimensionMismatchError("expected a real 3-vector")
-    if not abs(np.linalg.norm(a) - 1.0) <= UNITARY_TOL:  # also rejects NaN
-        raise NotUnitVectorError(f"norm is {np.linalg.norm(a)}, expected 1")
+    a = _unit_3vector(a)
     # not arccos(a_z): near a pole a_z rounds to +-1 and the polar angle is lost
     theta = np.arctan2(np.hypot(a[0], a[1]), a[2])
     phi = np.arctan2(a[1], a[0])
@@ -103,11 +117,6 @@ def bloch_vector_of_basis(basis: OrthonormalBasis):
     if basis.dim != 2:
         raise DimensionMismatchError("requires a qubit basis")
     return np.einsum("ab,iba->i", basis.projector(0), PAULI).real
-
-
-def _check_side(side: str):
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def dephase_one_sided(state: BipartiteState, basis: OrthonormalBasis, side: str) -> BipartiteState:

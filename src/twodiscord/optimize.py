@@ -451,10 +451,6 @@ def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig, total, lowe
 # ---------------------------------------------------------------------------
 # alternating eigen-iteration and grid oracle on the two-qubit Bloch objective
 
-def bloch_pair_objective(x, y, t, a, b) -> float:
-    return float((a @ x) ** 2 + (b @ y) ** 2 + (a @ t @ b) ** 2)
-
-
 def _top_unit_eigvecs(m: np.ndarray) -> np.ndarray:
     """Top eigenvector of each symmetric matrix in an (S, 3, 3) stack.
 

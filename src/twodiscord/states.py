@@ -142,16 +142,15 @@ def make_bipartite(entries, dim_a: int, dim_b: int) -> BipartiteState:
     return BipartiteState(dim_a, dim_b, DensityMatrix(entries))
 
 
+def _check_side(side: str):
+    if side not in ("A", "B"):
+        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+
+
 def partial_trace(state: BipartiteState, keep: str) -> DensityMatrix:
     """Reduced density matrix of subsystem ``keep`` ('A' or 'B')."""
-    r = state.reshaped()
-    if keep == "A":
-        red = np.einsum("ibjb->ij", r)
-    elif keep == "B":
-        red = np.einsum("aiaj->ij", r)
-    else:
-        raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(red)
+    _check_side(keep)
+    return DensityMatrix(np.einsum("ibjb->ij" if keep == "A" else "aiaj->ij", state.reshaped()))
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> BipartiteState:
@@ -165,12 +164,9 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def swap_operator(m: int) -> np.ndarray:
-    """The operator exchanging the two m-dimensional factors."""
-    f = np.zeros((m * m, m * m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            f[k * m + l, l * m + k] = 1.0
-    return f
+    """The operator exchanging the two m-dimensional factors: the identity
+    with rows k m + l and l m + k exchanged."""
+    return np.eye(m * m, dtype=complex)[np.arange(m * m).reshape(m, m).T.ravel()]
 
 
 def max_entangled_projector(m: int) -> np.ndarray:

@@ -12,7 +12,6 @@ violation. The checks, ``audit_states`` and the ``compute`` report's
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -434,20 +433,29 @@ def _small(cfg: OptimizerConfig) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 # the nine acceptance checks
 
-# family -> (state(m, x), closed-form two-sided geometric discord(m, x), x domain)
+# family -> (state(m, x), closed-form two-sided geometric discord(m, x)); the
+# x domain of each family is ``FAMILY_DOMAINS``
 CLOSED_FORMS = {
-    "werner": (werner, werner_geo_closed, FAMILY_DOMAINS["werner"]),
-    "isotropic": (isotropic, isotropic_geo_closed, FAMILY_DOMAINS["isotropic"]),
+    "werner": (werner, werner_geo_closed),
+    "isotropic": (isotropic, isotropic_geo_closed),
 }
+
+
+def closed_form_points(family: str, m: int, xs, cfg: OptimizerConfig):
+    """Yield (x, closed form, two-sided geometric ``DiscordValue``) for each
+    x in ``xs``: the one loop behind the closed-form checks and ``sweep``."""
+    make, closed = CLOSED_FORMS[family]
+    for x in xs:
+        x = float(x)
+        yield x, closed(m, x), geo_discord_two_sided(make(m, x), cfg)
 
 
 def _closed_form_sweep(family: str, cfg: OptimizerConfig, ms, points) -> CheckResult:
     rep = AuditReport()
-    make, closed, (lo, hi) = CLOSED_FORMS[family]
-    for k, (m, x) in enumerate(itertools.product(ms, np.linspace(lo, hi, points))):
-        x = float(x)
-        gap = geo_discord_two_sided(make(m, x), cfg).value - closed(m, x)
-        rep.record({f"{family}-closed-form": -abs(gap)}, k)
+    xs = np.linspace(*FAMILY_DOMAINS[family], points)
+    sweep = (point for m in ms for point in closed_form_points(family, m, xs, cfg))
+    for k, (_, want, res) in enumerate(sweep):
+        rep.record({f"{family}-closed-form": -abs(res.value - want)}, k)
     if family == "isotropic":
         for m in ms:
             rep.record({"isotropic-zero": -abs(isotropic_geo_closed(m, 1.0 / m**2))}, m)
@@ -590,8 +598,7 @@ def run_verify(quick=False, seed=0, restarts=64) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # randomized invariant audit
 
-def audit_states(n_states: int, seed: int, dims=(2, 2),
-                 cfg: OptimizerConfig = None) -> AuditReport:
+def audit_states(n_states: int, seed: int, cfg: OptimizerConfig, dims=(2, 2)) -> AuditReport:
     """Sample random states and exercise every cheap invariant plus the
     geometric bound hierarchy; returns counts and worst margins.
 
@@ -608,7 +615,6 @@ def audit_states(n_states: int, seed: int, dims=(2, 2),
     if na * nb > 16:
         raise DomainError("audit dims are capped at 16-dimensional joint spaces (4x4, 2x8)")
     rng = np.random.default_rng([seed, 47])
-    cfg = cfg or OptimizerConfig(restarts=16, seed=seed)
     rep = AuditReport(n_states=n_states, dims=tuple(dims), seed=seed)
     for k in range(n_states):
         st = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))

@@ -52,3 +52,27 @@ class TestOneResultType:
             assert res.value >= res.lower_bound - 1e-8
         for res in ent:
             assert res.lower_bound == 0.0
+
+
+def _swapped(state):
+    """The state on B (x) A: the parties' indices exchanged in rows and columns."""
+    na, nb = state.dim_a, state.dim_b
+    r = state.reshaped().transpose(1, 0, 3, 2).reshape(na * nb, na * nb)
+    return td.make_bipartite(r, nb, na)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_party_swap_exchanges_the_sides(dims):
+    # relabelling the parties leaves the two-sided discords unchanged and
+    # turns side A's one-sided discords into side B's of the swapped state
+    na, nb = dims
+    for rank in range(1, na * nb + 1):
+        state = random_bipartite(np.random.default_rng([43, na, nb, rank]), na, nb, rank=rank)
+        swapped = _swapped(state)
+        for two_sided, one_sided in ((td.discord_two_sided, td.discord_one_sided),
+                                     (td.geo_discord_two_sided, td.geo_discord_one_sided)):
+            assert two_sided(swapped, CFG).value == pytest.approx(
+                two_sided(state, CFG).value, abs=1e-9)
+            for side, other in ("AB", "BA"):
+                assert one_sided(swapped, other, CFG).value == pytest.approx(
+                    one_sided(state, side, CFG).value, abs=1e-9)

@@ -7,7 +7,7 @@ import pytest
 import twodiscord as td
 from twodiscord import cli
 from twodiscord import verification
-from twodiscord.cli import SweepSpec, main
+from twodiscord.cli import main
 from twodiscord.serialize import save_state
 
 FAST = ["--restarts", "8"]
@@ -34,10 +34,20 @@ def test_negative_seed_exits_2(argv, bell_file, capsys):
     assert captured.err == "error: seed must be >= 0\n"
 
 
+def _sweep(family, m, x_start, x_end, points):
+    return main(["sweep", "--family", family, "--m", str(m), "--x-start", str(x_start),
+                 "--x-end", str(x_end), "--points", str(points), *FAST])
+
+
 class TestSweepSpec:
-    def test_valid(self):
-        SweepSpec("werner", 3, -1.0, 1.0, 21)
-        SweepSpec("isotropic", 2, 0.0, 1.0, 5)
+    """The sweep's checks of its family, m, x range and point count."""
+
+    def test_valid(self, capsys):
+        for args in (("werner", 3, -1.0, 1.0, 21), ("isotropic", 2, 0.0, 1.0, 5)):
+            assert _sweep(*args) == 0
+            captured = capsys.readouterr()
+            assert len(captured.out.splitlines()) == 1 + args[4]
+            assert captured.err == ""
 
     @pytest.mark.parametrize(
         "args",
@@ -47,12 +57,20 @@ class TestSweepSpec:
             ("isotropic", 2, 0.8, 0.2, 21),
             ("werner", 1, -1.0, 1.0, 21),
             ("werner", 2, -1.0, 1.0, 1),
-            ("ghz", 2, 0.0, 1.0, 5),
         ],
     )
-    def test_invalid(self, args):
-        with pytest.raises(td.DomainError):
-            SweepSpec(*args)
+    def test_invalid(self, args, capsys):
+        assert _sweep(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_unknown_family_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _sweep("ghz", 2, 0.0, 1.0, 5)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCompute:

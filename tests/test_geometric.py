@@ -300,3 +300,19 @@ class TestTwoQubitGeo:
         assert td.two_qubit_geo_objective(b, e3, e3) == pytest.approx(1.0)
         with pytest.raises(td.NotUnitVectorError):
             td.two_qubit_geo_objective(b, 0.5 * e3, e3)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([1.0, 0.0], td.DimensionMismatchError),
+        ([[1.0, 0.0, 0.0]], td.DimensionMismatchError),
+        ([np.nan, 0.0, 0.0], td.NotUnitVectorError),
+        ([0.0, 0.0, 0.5], td.NotUnitVectorError),
+    ], ids=["short", "row-matrix", "nan", "not-unit"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_objective_rejects_bad_vectors_like_bloch_basis(self, bad, error, side):
+        # the one unit-3-vector rule: the error bloch_basis raises for the same vector
+        b = td.to_bloch(td.bell_state())
+        e3 = [0.0, 0.0, 1.0]
+        with pytest.raises(error):
+            td.bloch_basis(bad)
+        with pytest.raises(error):
+            td.two_qubit_geo_objective(b, *((bad, e3) if side == "a" else (e3, bad)))

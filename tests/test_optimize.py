@@ -24,7 +24,6 @@ from twodiscord.optimize import (
     _rotations,
     _round_robin,
     _start_points,
-    bloch_pair_objective,
     jacobi_search,
     projective_grid,
     rotated_states,
@@ -607,7 +606,7 @@ def _alternating_reference(b, cfg):
             a = top(np.outer(x, x) + np.outer(w, w))
             w2 = t.T @ a
             bv = top(np.outer(y, y) + np.outer(w2, w2))
-            new = bloch_pair_objective(x, y, t, a, bv)
+            new = td.two_qubit_geo_objective(b, a, bv)
             if new - val < optimize._VALUE_TOLERANCE:
                 val = max(val, new)
                 break
@@ -663,7 +662,7 @@ class TestAlternatingLockstep:
             assert report.restarts_run == runs
             assert report.iterations_total <= iters
             saved += iters - report.iterations_total
-            assert bloch_pair_objective(b.x, b.y, b.t, a, bv) == pytest.approx(
+            assert td.two_qubit_geo_objective(b, a, bv) == pytest.approx(
                 report.best_value, abs=1e-14)
         assert saved > 0
 

@@ -92,6 +92,10 @@ class TestPartialTrace:
                 atol=1e-13,
             )
 
+    def test_unknown_side_is_rejected_by_the_side_check(self):
+        with pytest.raises(DomainError, match=r"^side must be 'A' or 'B', got 'C'$"):
+            td.partial_trace(td.bell_state(), "C")
+
 
 class TestTensorAndPurity:
     def test_tensor_bookkeeping(self):
@@ -123,6 +127,15 @@ class TestWerner:
         for x in (-1.0, -0.25, 0.0, 0.8):
             got = np.trace(td.werner(3, x).entries @ f).real
             assert got == pytest.approx(x, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_swap_operator_matches_loop_reference(self, m):
+        ref = np.zeros((m * m, m * m), dtype=complex)
+        for k in range(m):
+            for l in range(m):
+                ref[k * m + l, l * m + k] = 1.0
+        f = swap_operator(m)
+        assert f.dtype == ref.dtype and f.tobytes() == ref.tobytes()
 
     def test_swap_operator_properties(self):
         f = swap_operator(3)

@@ -1,4 +1,5 @@
-"""The package's module layering, and the one home of the 0 log 0 floor."""
+"""The package's module layering, and the one home of the 0 log 0 floor, the
+side check and the unit-vector rule."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,19 @@ def test_only_entropic_takes_logarithms_at_the_floor(name):
             f = node.func
             called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
             assert called != "log2", f"{name} calls log2 at line {node.lineno}"
+
+
+def _defines(tree, name):
+    return any(isinstance(n, ast.FunctionDef) and n.name == name for n in ast.walk(tree))
+
+
+def _constructs(tree, name):
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+               for n in ast.walk(tree))
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_one_home_for_the_side_check_and_the_unit_vector_rule(name):
+    tree = _tree(name)
+    assert _defines(tree, "_check_side") == (name == "states")
+    assert _constructs(tree, "NotUnitVectorError") == (name == "measurement")
