@@ -24,8 +24,9 @@ runs through the same ``_lockstep``; its starts are pairs of Bloch
 directions. Its step is two batched eigen half-steps, or, from a start's
 second step on, one Riemannian Newton step (``_newton_points``, shared with
 ``plane_ascent``) on the objective maximized over b (``_reduced_bloch``)
-followed by the b half-step. The geometric grid oracle bounds its rows by
-that same maximum.
+followed by the b half-step. The geometric grid oracle bounds its rows, and
+on fine grids whole cells of directions (``_grid_cells``), by that same
+maximum.
 """
 
 from __future__ import annotations
@@ -476,19 +477,26 @@ def _outer(u, v):
     return u[:, :, None] * v[:, None, :]
 
 
+def _bloch_gram(bloch: TwoQubitBloch, av):
+    """(a.x)^2 and the Gram entries g11 = |y|^2, g22 = |T^t a|^2 and
+    g12 = a.Ty of y and T^t a at each row a of the (N, 3) stack av, from
+    one product of av with (x, T, T y)."""
+    q = (av @ np.column_stack([bloch.x, bloch.t, bloch.t @ bloch.y])).T
+    return q[0] * q[0], float(bloch.y @ bloch.y), q[1] * q[1] + q[2] * q[2] + q[3] * q[3], q[4]
+
+
 def _reduced_bloch(bloch: TwoQubitBloch, av):
     """The Bloch pair objective maximized over b, F(a), at each row a of the
     (N, 3) stack av, and r; returns (F, r).
 
     F(a) = max_b [(a.x)^2 + (b.y)^2 + (a T b)^2] = (a.x)^2 + (g11 + g22 + r) / 2,
-    with g11 = |y|^2, g22 = |T^t a|^2, g12 = a.Ty and r the gap of the
-    Gram [[g11, g12], [g12, g22]] of y and T^t a (``_gram_top``); the b
-    that attains it is the top eigenvector of y y^t + T^t a a^t T.
+    with r the gap of the Gram [[g11, g12], [g12, g22]] of y and T^t a
+    (``_bloch_gram``, ``_gram_top``); the b that attains it is the top
+    eigenvector of y y^t + T^t a a^t T.
     """
-    ax, tta = av @ bloch.x, av @ bloch.t
-    g22, g12 = np.sum(tta * tta, axis=1), av @ (bloch.t @ bloch.y)
-    top, r = _gram_top(float(bloch.y @ bloch.y), g22, g12)
-    return ax * ax + top, r
+    ax2, g11, g22, g12 = _bloch_gram(bloch, av)
+    top, r = _gram_top(g11, g22, g12)
+    return ax2 + top, r
 
 
 def _reduced_bloch_derivatives(bloch: TwoQubitBloch, av):
@@ -621,9 +629,160 @@ def projective_grid(resolution: int) -> np.ndarray:
     return pts
 
 
-# directions per block of the geometric oracle's bound, so that its
-# temporaries stay small next to the cached grid
-_GRID_CHUNK = 4096
+# a grid cell is this many consecutive latitude bands by this many
+# consecutive longitudes of ``projective_grid``
+_CELL_BANDS = 8
+_CELL_LONGITUDES = 16
+# relative and absolute padding of a cell's angular radius
+_CELL_PAD = 1e-9
+# the geometric grid oracle scans a grid of fewer directions whole: there
+# the cells are too wide to prune and a whole row costs little
+_CELL_MIN_DIRECTIONS = 50000
+
+
+class _GridCells(NamedTuple):
+    """The cells of one ``projective_grid``, each held by four corners.
+
+    The grid is cut into slabs, each one contiguous range ``slabs[s]`` of
+    its rows: the pole, runs of ``_CELL_BANDS`` open latitude bands (the
+    last run may be shorter) and, for even R, the half equator. Each slab
+    is cut into runs of ``_CELL_LONGITUDES`` longitudes (the last may be
+    shorter), so the cells partition the grid. Cell c lies in slab
+    ``slab[c]``; its rows are ``start[c] + offsets[shape[c]]``, the
+    offsets of a cell shape padded by repeats to ``_CELL_BANDS *
+    _CELL_LONGITUDES``. ``corners[k * C + c]``, k < 4, enclose cell c of
+    the C: every direction in it lies in the convex hull of 0 and those
+    corners. A cell in ``wide`` spans a right angle or more around its
+    centre and has no enclosure.
+    """
+
+    slabs: tuple  # (first row, end row) per slab
+    slab: np.ndarray
+    start: np.ndarray
+    shape: np.ndarray
+    offsets: np.ndarray
+    corners: np.ndarray
+    wide: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _grid_cells(resolution: int) -> _GridCells:
+    """The cells of ``projective_grid(resolution)`` and their enclosures.
+
+    A cell whose directions have colatitudes in [t1, t2] and longitudes in
+    [p1, p2] lies within the angle alpha = (t2 - t1) / 2 + sin(tm) (p2 - p1) / 2
+    of its centre c at (tm, pm), the midpoints: a leg along the small
+    circle of colatitude tm, then one along a meridian. Padded by
+    ``_CELL_PAD``, alpha < pi / 2 puts every direction u of the cell in
+    conv{0, c + tan(alpha) (+-e_theta +- e_phi)}: u / (u.c) lies in that
+    tangent square at c, and 0 < u.c <= 1. Only the corners and a few
+    integers per cell are built, once per resolution.
+    """
+    projective_grid(resolution)  # validates the resolution
+    r, step = resolution, np.pi / resolution
+    # (first row, first band, bands, longitudes) per slab
+    open_bands = (r + 1) // 2 - 1
+    slabs = [(0, 0, 1, 1)] + [(1 + (i - 1) * 2 * r, i, min(_CELL_BANDS, open_bands + 1 - i), 2 * r)
+                              for i in range(1, open_bands + 1, _CELL_BANDS)]
+    if r % 2 == 0:
+        slabs.append((1 + open_bands * 2 * r, r // 2, 1, r))
+    table = np.array(slabs)
+    runs = -(-table[:, 3] // _CELL_LONGITUDES)  # cells per slab
+    slab = np.repeat(np.arange(len(slabs)), runs)
+    lo = (np.arange(len(slab)) - np.repeat(np.cumsum(runs) - runs, runs)) * _CELL_LONGITUDES
+    row, first, bands, stride = table[slab].T
+    hi = np.minimum(lo + _CELL_LONGITUDES, stride)
+    # one offset table per distinct (bands, longitudes, stride), keyed by
+    # one integer per cell
+    key = (bands * (_CELL_LONGITUDES + 1) + hi - lo) * (2 * r + 1) + stride
+    _, one, shape = np.unique(key, return_index=True, return_inverse=True)
+    offsets = np.array([(stride[i] * np.minimum(np.arange(_CELL_BANDS), bands[i] - 1)[:, None]
+                         + np.minimum(np.arange(_CELL_LONGITUDES), hi[i] - lo[i] - 1)).ravel()
+                        for i in one])
+    t1, t2 = first * step, (first + bands - 1) * step
+    p1, p2 = lo * step, (hi - 1) * step
+    tm, pm = 0.5 * (t1 + t2), 0.5 * (p1 + p2)
+    alpha = 0.5 * (t2 - t1) + np.sin(tm) * 0.5 * (p2 - p1)
+    alpha = alpha * (1.0 + _CELL_PAD) + _CELL_PAD
+    wide = alpha >= 0.5 * np.pi
+    st, ct, sp, cp = np.sin(tm), np.cos(tm), np.sin(pm), np.cos(pm)
+    c = np.stack([st * cp, st * sp, ct], axis=1)
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    h = np.tan(np.where(wide, 0.0, alpha))[:, None]
+    corners = np.concatenate([c + h * (s1 * e_theta + s2 * e_phi)
+                              for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)])
+    arrays = (slab, row + lo, shape, offsets, corners, np.flatnonzero(wide))
+    for a in arrays:
+        a.setflags(write=False)
+    return _GridCells(tuple((row, row + g * n) for row, _, g, n in slabs), *arrays)
+
+
+def _cell_bound(cells: _GridCells, values):
+    """Upper bound on each cell of a convex function that is smallest at 0,
+    from its values at the cells' corners (one per row of ``cells.corners``).
+
+    A convex function peaks at a vertex of a polytope (Horst & Tuy 1996),
+    and on conv{0, corners} the vertex 0 never wins; a wide cell gets inf.
+    """
+    ub = values.reshape(4, -1).max(axis=0)
+    ub[cells.wide] = np.inf
+    return ub
+
+
+def _cell_rows(cells: _GridCells, ids, rows) -> list:
+    """Blocks of the rows of ``rows``, an array in grid order, that cover the
+    cells ``ids``: one gathered block while they are at most a quarter of
+    the cells, else each slab that holds one of them, a contiguous range of
+    the grid, which costs less than a gather of so many."""
+    if 4 * len(ids) > len(cells.slab):
+        return [rows[slice(*cells.slabs[s])] for s in np.unique(cells.slab[ids])]
+    return [rows[(cells.start[ids, None] + cells.offsets[cells.shape[ids]]).ravel()]]
+
+
+def _row_bounds(b: TwoQubitBloch, av, gy):
+    """Two upper bounds on the grid objective's row maximum at each row a of
+    av, both convex in a and smallest at 0: F(a) (``_reduced_bloch``) and
+    (a.x)^2 + gy + |T^t a|^2, where gy >= the grid maximum of (b.y)^2.
+    Both come from one ``_bloch_gram``; a second product for F would cost
+    the whole-grid passes of flat objectives a third more."""
+    ax2, g11, g22, g12 = _bloch_gram(b, av)
+    return ax2 + _gram_top(g11, g22, g12)[0], ax2 + gy + g22
+
+
+def _row_cell_bounds(b: TwoQubitBloch, cells: _GridCells, gy):
+    """An upper bound on every row maximum in each cell: the smaller of the
+    two ``_row_bounds``' corner bounds. Their pointwise minimum is not
+    convex, so its own corner values would bound nothing."""
+    return np.minimum(*(_cell_bound(cells, v) for v in _row_bounds(b, cells.corners, gy)))
+
+
+def _cells_search(cells: _GridCells, pts, bounds, best, score, seed=None):
+    """Exact branch-and-bound over the cells of a grid: ``score(blocks, best)``
+    on the blocks of directions (``_cell_rows``) of the cells whose bound
+    exceeds the incumbent best; returns the final best. Without an
+    incumbent (best = -inf), ``seed`` (default ``score``) on the
+    best-bounded cell alone sets one first."""
+    if best == -np.inf:
+        best = (seed or score)(_cell_rows(cells, [int(np.argmax(bounds))], pts), best)
+    ids = np.flatnonzero(bounds > best)
+    return score(_cell_rows(cells, ids, pts), best) if len(ids) else best
+
+
+def _scan_rows(ub, row, best):
+    """Raise the incumbent best by ``row(i, best)`` over the rows i in
+    decreasing upper bound ``ub``, until no bound exceeds it. The largest
+    bound goes first, so that few rows are left to sort."""
+    first = int(np.argmax(ub))
+    if ub[first] <= best:
+        return best
+    best = row(first, best)
+    rest = np.flatnonzero(ub > best)
+    for i in rest[np.argsort(-ub[rest], kind="stable")]:
+        if ub[i] <= best:
+            break
+        best = row(i, best)
+    return best
 
 
 def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
@@ -632,44 +791,73 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     The objective is even in a and in b, so both range over
     ``projective_grid``, one direction per antipodal pair.
 
-    The pairwise max is computed exactly with branch-and-bound pruning: for a
-    fixed a the continuous maximum over b is the alternation's reduced
-    objective F(a) (``_reduced_bloch``), which upper-bounds every grid value
-    in that row, so grid directions whose bound cannot beat the incumbent
-    are skipped without changing the result. The bound is computed in
-    blocks of ``_GRID_CHUNK`` directions from one product of the grid with
-    (x, y, T, T y), through F's Gram formula ``_gram_top``; only a.x^2,
-    b.y^2 and the bound are kept for the whole grid. The direction with the
-    largest bound sets the first incumbent; only the directions whose bound
-    exceeds it are sorted and scanned.
+    The pairwise max is computed exactly by branch-and-bound: a row of A
+    direction a is scanned only when an upper bound on every value in it
+    can beat the incumbent. The row bound is the smaller of F(a), the
+    continuous maximum over b (``_reduced_bloch``), and
+    (a.x)^2 + Gy + |T^t a|^2, where Gy is the grid maximum of (b.y)^2
+    (``_row_bounds``). A grid of fewer than ``_CELL_MIN_DIRECTIONS``
+    directions is scanned whole. A finer one is searched on two levels
+    over the cells of ``_grid_cells``. A cell of A directions is bounded by
+    the smaller of the two bounds' corner values (``_row_cell_bounds``).
+    The largest-bounded row of the best-bounded cell seeds the incumbent;
+    only cells whose bound exceeds it get per-direction bounds, and only
+    their directions whose bound exceeds it are scanned, in decreasing
+    bound. In the row of a, a cell of B directions is scored only when
+    (a.x)^2 plus the corner bound of the convex (b.y)^2 + (b.T^t a)^2 can
+    beat the incumbent; the first row seeds its own incumbent from its
+    best-bounded cell. Gy is found by the same search over B cells. No
+    pruned direction can change the maximum.
     """
     pts = projective_grid(resolution)
     x, y, t = b.x, b.y, b.t
-    # row a of pts @ cols is (a.x, a.y, a^T T, a^T T y)
-    cols = np.column_stack([x, y, t, t @ y])
-    n = len(pts)
-    ax2, by2, ub = np.empty(n), np.empty(n), np.empty(n)
-    g11 = float(y @ y)
-    for lo in range(0, n, _GRID_CHUNK):
-        rows = slice(lo, lo + _GRID_CHUNK)
-        q = (pts[rows] @ cols).T
-        ax2[rows] = q[0] ** 2
-        by2[rows] = q[1] ** 2
-        g22 = q[2] * q[2] + q[3] * q[3] + q[4] * q[4]  # |T^t a|^2
-        g12 = q[5]  # (T^t a).y
-        ub[rows] = ax2[rows] + _gram_top(g11, g22, g12)[0]
-    buf = np.empty(n)
+    if len(pts) < _CELL_MIN_DIRECTIONS:
+        by2 = (pts @ y) ** 2
 
-    def value(i):
-        np.matmul(pts, pts[i] @ t, out=buf)
-        np.square(buf, out=buf)
-        np.add(buf, by2, out=buf)
-        return ax2[i] + buf.max()
+        def grid_row(i, best):
+            v = pts @ (pts[i] @ t)
+            v *= v
+            v += by2
+            return max(best, float(pts[i] @ x) ** 2 + float(v.max()))
 
-    best = value(int(np.argmax(ub)))
-    rest = np.nonzero(ub > best)[0]
-    for i in rest[np.argsort(-ub[rest], kind="stable")]:
-        if ub[i] <= best:
-            break
-        best = max(best, value(i))
-    return float(best)
+        return float(_scan_rows(np.minimum(*_row_bounds(b, pts, float(by2.max()))),
+                                grid_row, -np.inf))
+
+    cells = _grid_cells(resolution)
+    ky2 = (cells.corners @ y) ** 2
+
+    def top(blocks, best, value, offset=0.0):
+        return max([best, *(offset + float(value(rows).max()) for rows in blocks)])
+
+    gy = _cells_search(cells, pts, _cell_bound(cells, ky2), -np.inf,
+                       lambda blocks, best: top(blocks, best, lambda rows: (rows @ y) ** 2))
+
+    def row(a, best):
+        w, ax2 = a @ t, float(a @ x) ** 2
+
+        def value(rows):
+            v, u = rows @ w, rows @ y
+            v *= v
+            u *= u
+            v += u
+            return v
+
+        return _cells_search(cells, pts, ax2 + _cell_bound(cells, ky2 + (cells.corners @ w) ** 2),
+                             best, lambda blocks, best: top(blocks, best, value, ax2))
+
+    def row_bound(av):
+        return np.minimum(*_row_bounds(b, av, gy))
+
+    def scan(blocks, best):
+        starts = np.cumsum([0] + [len(av) for av in blocks])
+
+        def block_row(i, best):
+            k = int(np.searchsorted(starts, i, side="right")) - 1
+            return row(blocks[k][i - starts[k]], best)
+
+        return _scan_rows(np.concatenate([row_bound(av) for av in blocks]), block_row, best)
+
+    def seed(blocks, best):
+        return row(blocks[0][int(np.argmax(row_bound(blocks[0])))], best)
+
+    return float(_cells_search(cells, pts, _row_cell_bounds(b, cells, gy), -np.inf, scan, seed))

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from twodiscord.entropic import RETAINED_INFORMATION, shannon_bits
 from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _alternating_detail,
+    _cell_bound,
+    _cell_rows,
     _dephased,
+    _grid_cells,
     _jacobi_step,
     _measured_first,
     _plane_data,
@@ -23,6 +27,8 @@ from twodiscord.optimize import (
     _reduced_bloch_derivatives,
     _rotations,
     _round_robin,
+    _row_bounds,
+    _row_cell_bounds,
     _start_points,
     jacobi_search,
     projective_grid,
@@ -744,29 +750,178 @@ class TestProjectiveGrid:
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
 
-    def test_grid_oracle_matches_full_grid(self):
-        # brute force over every pair of whole-sphere grid points
-        pts = sphere_grid(16)
-        for seed in range(6):
-            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
-            full = np.max(
-                ((pts @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None] + (pts @ b.t @ pts.T) ** 2
-            )
-            assert td.sphere_grid_oracle(b, 16) == pytest.approx(full, abs=1e-12)
+    @pytest.mark.parametrize("cells", [False, True], ids=["whole", "cells"])
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 21, 33, 42, 65])
+    def test_grid_oracle_matches_full_grid(self, resolution, cells, monkeypatch):
+        # brute force over every pair of grid points, on the whole grid scan
+        # and, with the size floor lifted, on the cell search
+        if cells:
+            monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 0)
+        pts = sphere_grid(resolution) if resolution <= 33 else projective_grid(resolution)
+        for b in _grid_oracle_states():
+            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
+                _brute_grid_max(b, pts), abs=1e-12)
 
-    @pytest.mark.parametrize("resolution, chunk", [(16, 64), (65, None)])
-    def test_grid_oracle_matches_brute_force_with_partial_last_chunk(
-            self, resolution, chunk, monkeypatch):
-        # 241 = 3 * 64 + 49 and 4161 = 4096 + 65 directions
-        if chunk is not None:
-            monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+    @pytest.mark.parametrize("resolution", [21, 42])
+    def test_grid_oracle_matches_brute_force_with_partial_last_cells(self, resolution,
+                                                                     monkeypatch):
+        # R = 21: 10 open bands of 42 longitudes; R = 42: 20 open bands of 84
+        # longitudes and a half equator of 42; no count is a multiple of the
+        # cell height or width
+        monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 0)
+        open_bands = (resolution + 1) // 2 - 1
+        assert open_bands % optimize._CELL_BANDS
+        assert (2 * resolution) % optimize._CELL_LONGITUDES
+        assert resolution % 2 or resolution % optimize._CELL_LONGITUDES
         pts = projective_grid(resolution)
-        assert len(pts) % optimize._GRID_CHUNK
         for seed in range(4):
             b = td.to_bloch(td.random_state(2, 2, rank=seed + 1, seed=seed))
-            full = max(
-                np.max(((pts[lo:lo + 512] @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None]
-                       + (pts[lo:lo + 512] @ b.t @ pts.T) ** 2)
-                for lo in range(0, len(pts), 512)
-            )
-            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(full, abs=1e-15)
+            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
+                _brute_grid_max(b, pts), abs=1e-15)
+
+    def test_grid_oracle_cells_match_whole_grid_scan(self, monkeypatch):
+        # at R = 400 the cell search and the whole grid scan agree
+        states = _grid_oracle_states()
+        cells = [td.sphere_grid_oracle(b, 400) for b in states]
+        monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 10**9)
+        for b, v in zip(states, cells):
+            assert v == pytest.approx(td.sphere_grid_oracle(b, 400), abs=1e-15)
+
+    @pytest.mark.parametrize("resolution", [200, 400])
+    def test_grid_oracle_prunes_flat_unattained_row_bounds(self, resolution):
+        # I/2 (x) rho_B: x = 0 and T = 0, so every row bound F = |y|^2 lies
+        # above the grid maximum of (b.y)^2, which is also every row's value
+        b = _half_identity_product()
+        np.testing.assert_allclose(b.y, [0.42, 0.26, 0.24], atol=1e-15)
+        start = time.perf_counter()
+        value = td.sphere_grid_oracle(b, resolution)
+        assert time.perf_counter() - start < 0.5
+        assert value == pytest.approx(np.max((projective_grid(resolution) @ b.y) ** 2),
+                                      abs=1e-15)
+
+    def test_grid_oracle_repeats(self):
+        b = td.to_bloch(td.random_state(2, 2, rank=3, seed=7))
+        assert td.sphere_grid_oracle(b, 400) == td.sphere_grid_oracle(b, 400)
+
+
+def _half_identity_product():
+    """I/2 (x) rho_B: x = 0, T = 0 and y = (0.42, 0.26, 0.24)."""
+    rho_b = np.array([[0.62, 0.21 - 0.13j], [0.21 + 0.13j, 0.38]])
+    return td.to_bloch(td.make_bipartite(np.kron(np.eye(2) / 2, rho_b), 2, 2))
+
+
+def _grid_oracle_states():
+    """Random states of rank 1-4, zero-marginal states, Werner 2x2, a
+    near-Bell tensor, the product ``_half_identity_product``, the zero state
+    and a rotationally symmetric state."""
+    states = [td.to_bloch(td.random_state(2, 2, rank=r, seed=r)) for r in (1, 2, 3, 4)]
+    states += [td.TwoQubitBloch(np.zeros(3), np.zeros(3), s.t) for s in states[:2]]
+    return states + [
+        td.to_bloch(td.werner(2, 0.3)),
+        td.TwoQubitBloch(np.zeros(3), np.zeros(3), 0.99 * np.diag([1.0, -1.0, 1.0])),
+        _half_identity_product(),
+        td.TwoQubitBloch(np.zeros(3), np.zeros(3), np.zeros((3, 3))),
+        td.TwoQubitBloch(np.array([0, 0, 0.1]), np.array([0, 0, 0.1]), np.diag([0.3, 0.3, 0.2])),
+    ]
+
+
+def _brute_grid_max(b, pts):
+    """The objective's maximum over every pair of rows of pts, in blocks."""
+    return max(
+        np.max(((pts[lo:lo + 512] @ b.x) ** 2)[:, None] + ((pts @ b.y) ** 2)[None]
+               + (pts[lo:lo + 512] @ b.t @ pts.T) ** 2)
+        for lo in range(0, len(pts), 512)
+    )
+
+
+def _cell_members(cells, c):
+    """The grid rows of cell c."""
+    return np.unique(cells.start[c] + cells.offsets[cells.shape[c]])
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("resolution", [8, 9, 16, 21, 33, 42, 65, 400])
+    def test_cells_partition_the_grid(self, resolution):
+        cells = _grid_cells(resolution)
+        members = np.concatenate([_cell_members(cells, c) for c in range(len(cells.slab))])
+        assert np.array_equal(np.sort(members), np.arange(len(projective_grid(resolution))))
+
+    @pytest.mark.parametrize("resolution", [16, 65, 400])
+    def test_blocks_cover_the_cells(self, resolution):
+        cells = _grid_cells(resolution)
+        rows = np.arange(len(projective_grid(resolution)))
+        rng = np.random.default_rng(resolution)
+        for k in (1, 2, len(cells.slab) // 4, len(cells.slab) // 2, len(cells.slab)):
+            ids = np.sort(rng.choice(len(cells.slab), size=k, replace=False))
+            got = np.concatenate(_cell_rows(cells, ids, rows))
+            assert np.isin(np.concatenate([_cell_members(cells, c) for c in ids]), got).all()
+
+    def test_cell_count(self):
+        # 25 groups of 8 of the 199 open bands, 50 runs of their 800
+        # longitudes, 25 runs of the half equator, and the pole
+        assert len(_grid_cells(400).slab) == 25 * 50 + 25 + 1
+
+    def test_built_once_small_and_read_only(self):
+        cells = _grid_cells(400)
+        assert _grid_cells(400) is cells
+        assert cells.corners.nbytes + cells.offsets.nbytes < 200_000
+        with pytest.raises(ValueError):
+            cells.corners[0, 0] = 0.0
+
+    @pytest.mark.parametrize("resolution", [9, 16, 65, 400])
+    def test_corner_bounds_hold_on_every_member(self, resolution):
+        # F, the Gy bound and q_a are convex and smallest at 0, so no member
+        # of a cell exceeds the largest value at the cell's corners; the row
+        # cell bound is the smaller of the first two corner bounds
+        rng = np.random.default_rng(resolution)
+        cells, pts = _grid_cells(resolution), projective_grid(resolution)
+        ids = rng.choice(len(cells.slab), size=min(40, len(cells.slab)), replace=False)
+        for seed in range(6):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
+            gy = float(np.max((pts @ b.y) ** 2))
+            f_cell, g_cell = (_cell_bound(cells, v) for v in _row_bounds(b, cells.corners, gy))
+            row_cell = _row_cell_bounds(b, cells, gy)
+            a = rng.standard_normal(3)
+            w = (a / np.linalg.norm(a)) @ b.t
+            q_cell = _cell_bound(cells, (cells.corners @ b.y) ** 2 + (cells.corners @ w) ** 2)
+            for c in ids:
+                m = pts[_cell_members(cells, c)]
+                f, g = _row_bounds(b, m, gy)
+                assert f.max() <= f_cell[c] + 1e-12
+                assert g.max() <= g_cell[c] + 1e-12
+                assert np.minimum(f, g).max() <= row_cell[c] + 1e-12
+                assert ((m @ b.y) ** 2 + (m @ w) ** 2).max() <= q_cell[c] + 1e-12
+
+    def test_row_cell_bound_holds_where_the_two_bounds_cross(self):
+        # Bloch data with small T, where F and the Gy bound cross inside
+        # some cells: their pointwise minimum is not convex there, and its
+        # own corner values fall below it at some members
+        cells, pts = _grid_cells(65), projective_grid(65)
+        members = [pts[_cell_members(cells, c)] for c in range(len(cells.slab))]
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            y = rng.standard_normal(3)
+            y *= rng.uniform(0.05, 1.0) / np.linalg.norm(y)
+            x = rng.standard_normal(3)
+            x *= rng.uniform(0.0, 1.0) * rng.integers(0, 2) / np.linalg.norm(x)
+            gy = float(np.max((pts @ y) ** 2))
+            t = rng.standard_normal((3, 3))
+            t *= 10 ** rng.uniform(-2.0, 0.3) / np.linalg.norm(t, 2)
+            b = td.TwoQubitBloch(x, y, t)
+            bound = _row_cell_bounds(b, cells, gy)
+            for c, m in enumerate(members):
+                assert np.minimum(*_row_bounds(b, m, gy)).max() <= bound[c] + 1e-12
+
+    def test_corner_bounds_hold_on_tight_equator_cells(self):
+        # along the equator a cell's end members lie exactly its angular
+        # radius from its centre; with x along the equator there, (a.x)^2 at
+        # those members nearly meets the corner bound
+        cells, pts = _grid_cells(400), projective_grid(400)
+        for c in np.flatnonzero(cells.slab == len(cells.slabs) - 1):
+            m = pts[_cell_members(cells, c)]
+            centre = cells.corners.reshape(4, -1, 3)[:, c].mean(axis=0)
+            x = 0.9 * np.cross([0.0, 0.0, 1.0], centre / np.linalg.norm(centre))
+            b = td.TwoQubitBloch(x, np.zeros(3), np.zeros((3, 3)))
+            f = _row_bounds(b, m, 0.0)[0]
+            bound = _cell_bound(cells, _row_bounds(b, cells.corners, 0.0)[0])[c]
+            assert 0.99 * bound < f.max() <= bound
