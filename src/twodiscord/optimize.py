@@ -24,9 +24,8 @@ runs through the same ``_lockstep``; its starts are pairs of Bloch
 directions. Its step is two batched eigen half-steps, or, from a start's
 second step on, one Riemannian Newton step (``_newton_points``, shared with
 ``plane_ascent``) on the objective maximized over b (``_reduced_bloch``)
-followed by the b half-step. The geometric grid oracle bounds its rows, and
-on fine grids whole cells of directions (``_grid_cells``), by that same
-maximum.
+followed by the b half-step. The geometric grid oracle bounds its rows,
+and whole cells of directions (``_grid_cells``), by that same maximum.
 """
 
 from __future__ import annotations
@@ -635,34 +634,35 @@ _CELL_BANDS = 8
 _CELL_LONGITUDES = 16
 # relative and absolute padding of a cell's angular radius
 _CELL_PAD = 1e-9
-# the geometric grid oracle scans a grid of fewer directions whole: there
-# the cells are too wide to prune and a whole row costs little
-_CELL_MIN_DIRECTIONS = 50000
 
 
 class _GridCells(NamedTuple):
     """The cells of one ``projective_grid``, each held by four corners.
 
-    The grid is cut into slabs, each one contiguous range ``slabs[s]`` of
-    its rows: the pole, runs of ``_CELL_BANDS`` open latitude bands (the
-    last run may be shorter) and, for even R, the half equator. Each slab
-    is cut into runs of ``_CELL_LONGITUDES`` longitudes (the last may be
-    shorter), so the cells partition the grid. Cell c lies in slab
-    ``slab[c]``; its rows are ``start[c] + offsets[shape[c]]``, the
-    offsets of a cell shape padded by repeats to ``_CELL_BANDS *
-    _CELL_LONGITUDES``. ``corners[k * C + c]``, k < 4, enclose cell c of
-    the C: every direction in it lies in the convex hull of 0 and those
-    corners. A cell in ``wide`` spans a right angle or more around its
-    centre and has no enclosure.
+    The pole is one cell. The open latitude bands are cut into runs of
+    ``_CELL_BANDS`` (the last may be shorter) and, for even R, the half
+    equator is one more run; each run is cut into runs of
+    ``_CELL_LONGITUDES`` longitudes (the last may be shorter), so the cells
+    partition the grid. Cell c holds the rows
+    ``start[c] + stride[c] * i + k`` for i < ``bands[c]``, k < ``width[c]``.
+    ``corners[k * C + c]``, k < 4, enclose cell c of the C: every direction
+    in it lies in the convex hull of 0 and those corners. A cell in
+    ``wide`` spans a right angle or more around its centre and has no
+    enclosure.
     """
 
-    slabs: tuple  # (first row, end row) per slab
-    slab: np.ndarray
     start: np.ndarray
-    shape: np.ndarray
-    offsets: np.ndarray
+    stride: np.ndarray
+    bands: np.ndarray
+    width: np.ndarray
     corners: np.ndarray
     wide: np.ndarray
+
+    def members(self, ids):
+        """The grid rows of the cells ids (one id or an array), each once."""
+        i, k = np.arange(_CELL_BANDS)[:, None], np.arange(_CELL_LONGITUDES)
+        rows = self.start[ids, None, None] + self.stride[ids, None, None] * i + k
+        return rows[(i < self.bands[ids, None, None]) & (k < self.width[ids, None, None])]
 
 
 @lru_cache(maxsize=16)
@@ -675,32 +675,25 @@ def _grid_cells(resolution: int) -> _GridCells:
     circle of colatitude tm, then one along a meridian. Padded by
     ``_CELL_PAD``, alpha < pi / 2 puts every direction u of the cell in
     conv{0, c + tan(alpha) (+-e_theta +- e_phi)}: u / (u.c) lies in that
-    tangent square at c, and 0 < u.c <= 1. Only the corners and a few
+    tangent square at c, and 0 < u.c <= 1. Only the corners and four
     integers per cell are built, once per resolution.
     """
     projective_grid(resolution)  # validates the resolution
     r, step = resolution, np.pi / resolution
-    # (first row, first band, bands, longitudes) per slab
+    # (first row, first band, bands, longitudes per band) per run of bands
     open_bands = (r + 1) // 2 - 1
-    slabs = [(0, 0, 1, 1)] + [(1 + (i - 1) * 2 * r, i, min(_CELL_BANDS, open_bands + 1 - i), 2 * r)
-                              for i in range(1, open_bands + 1, _CELL_BANDS)]
+    runs = [(0, 0, 1, 1)] + [(1 + (i - 1) * 2 * r, i, min(_CELL_BANDS, open_bands + 1 - i), 2 * r)
+                             for i in range(1, open_bands + 1, _CELL_BANDS)]
     if r % 2 == 0:
-        slabs.append((1 + open_bands * 2 * r, r // 2, 1, r))
-    table = np.array(slabs)
-    runs = -(-table[:, 3] // _CELL_LONGITUDES)  # cells per slab
-    slab = np.repeat(np.arange(len(slabs)), runs)
-    lo = (np.arange(len(slab)) - np.repeat(np.cumsum(runs) - runs, runs)) * _CELL_LONGITUDES
-    row, first, bands, stride = table[slab].T
-    hi = np.minimum(lo + _CELL_LONGITUDES, stride)
-    # one offset table per distinct (bands, longitudes, stride), keyed by
-    # one integer per cell
-    key = (bands * (_CELL_LONGITUDES + 1) + hi - lo) * (2 * r + 1) + stride
-    _, one, shape = np.unique(key, return_index=True, return_inverse=True)
-    offsets = np.array([(stride[i] * np.minimum(np.arange(_CELL_BANDS), bands[i] - 1)[:, None]
-                         + np.minimum(np.arange(_CELL_LONGITUDES), hi[i] - lo[i] - 1)).ravel()
-                        for i in one])
+        runs.append((1 + open_bands * 2 * r, r // 2, 1, r))
+    table = np.array(runs)
+    count = -(-table[:, 3] // _CELL_LONGITUDES)  # cells per run
+    run = np.repeat(np.arange(len(runs)), count)
+    lo = (np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)) * _CELL_LONGITUDES
+    row, first, bands, stride = table[run].T
+    width = np.minimum(lo + _CELL_LONGITUDES, stride) - lo
     t1, t2 = first * step, (first + bands - 1) * step
-    p1, p2 = lo * step, (hi - 1) * step
+    p1, p2 = lo * step, (lo + width - 1) * step
     tm, pm = 0.5 * (t1 + t2), 0.5 * (p1 + p2)
     alpha = 0.5 * (t2 - t1) + np.sin(tm) * 0.5 * (p2 - p1)
     alpha = alpha * (1.0 + _CELL_PAD) + _CELL_PAD
@@ -712,32 +705,27 @@ def _grid_cells(resolution: int) -> _GridCells:
     h = np.tan(np.where(wide, 0.0, alpha))[:, None]
     corners = np.concatenate([c + h * (s1 * e_theta + s2 * e_phi)
                               for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)])
-    arrays = (slab, row + lo, shape, offsets, corners, np.flatnonzero(wide))
+    arrays = (row + lo, stride, bands, width, corners, np.flatnonzero(wide))
     for a in arrays:
         a.setflags(write=False)
-    return _GridCells(tuple((row, row + g * n) for row, _, g, n in slabs), *arrays)
+    return _GridCells(*arrays)
 
 
-def _cell_bound(cells: _GridCells, values):
-    """Upper bound on each cell of a convex function that is smallest at 0,
-    from its values at the cells' corners (one per row of ``cells.corners``).
+def _cell_bound(cells: _GridCells, *values):
+    """Upper bound on each cell of the smallest of convex functions that are
+    smallest at 0, from their values at the cells' corners (one array per
+    function, one value per row of ``cells.corners``).
 
     A convex function peaks at a vertex of a polytope (Horst & Tuy 1996),
-    and on conv{0, corners} the vertex 0 never wins; a wide cell gets inf.
+    and on conv{0, corners} the vertex 0 never wins, so each function's
+    largest corner value bounds it on the cell; the smallest of those
+    bounds the smallest function. The corner values of that smallest
+    function, which is not convex, would bound nothing. A wide cell gets
+    inf.
     """
-    ub = values.reshape(4, -1).max(axis=0)
+    ub = np.min([v.reshape(4, -1).max(axis=0) for v in values], axis=0)
     ub[cells.wide] = np.inf
     return ub
-
-
-def _cell_rows(cells: _GridCells, ids, rows) -> list:
-    """Blocks of the rows of ``rows``, an array in grid order, that cover the
-    cells ``ids``: one gathered block while they are at most a quarter of
-    the cells, else each slab that holds one of them, a contiguous range of
-    the grid, which costs less than a gather of so many."""
-    if 4 * len(ids) > len(cells.slab):
-        return [rows[slice(*cells.slabs[s])] for s in np.unique(cells.slab[ids])]
-    return [rows[(cells.start[ids, None] + cells.offsets[cells.shape[ids]]).ravel()]]
 
 
 def _row_bounds(b: TwoQubitBloch, av, gy):
@@ -745,44 +733,9 @@ def _row_bounds(b: TwoQubitBloch, av, gy):
     av, both convex in a and smallest at 0: F(a) (``_reduced_bloch``) and
     (a.x)^2 + gy + |T^t a|^2, where gy >= the grid maximum of (b.y)^2.
     Both come from one ``_bloch_gram``; a second product for F would cost
-    the whole-grid passes of flat objectives a third more."""
+    the per-direction bounds of flat objectives a third more."""
     ax2, g11, g22, g12 = _bloch_gram(b, av)
     return ax2 + _gram_top(g11, g22, g12)[0], ax2 + gy + g22
-
-
-def _row_cell_bounds(b: TwoQubitBloch, cells: _GridCells, gy):
-    """An upper bound on every row maximum in each cell: the smaller of the
-    two ``_row_bounds``' corner bounds. Their pointwise minimum is not
-    convex, so its own corner values would bound nothing."""
-    return np.minimum(*(_cell_bound(cells, v) for v in _row_bounds(b, cells.corners, gy)))
-
-
-def _cells_search(cells: _GridCells, pts, bounds, best, score, seed=None):
-    """Exact branch-and-bound over the cells of a grid: ``score(blocks, best)``
-    on the blocks of directions (``_cell_rows``) of the cells whose bound
-    exceeds the incumbent best; returns the final best. Without an
-    incumbent (best = -inf), ``seed`` (default ``score``) on the
-    best-bounded cell alone sets one first."""
-    if best == -np.inf:
-        best = (seed or score)(_cell_rows(cells, [int(np.argmax(bounds))], pts), best)
-    ids = np.flatnonzero(bounds > best)
-    return score(_cell_rows(cells, ids, pts), best) if len(ids) else best
-
-
-def _scan_rows(ub, row, best):
-    """Raise the incumbent best by ``row(i, best)`` over the rows i in
-    decreasing upper bound ``ub``, until no bound exceeds it. The largest
-    bound goes first, so that few rows are left to sort."""
-    first = int(np.argmax(ub))
-    if ub[first] <= best:
-        return best
-    best = row(first, best)
-    rest = np.flatnonzero(ub > best)
-    for i in rest[np.argsort(-ub[rest], kind="stable")]:
-        if ub[i] <= best:
-            break
-        best = row(i, best)
-    return best
 
 
 def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
@@ -791,73 +744,58 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     The objective is even in a and in b, so both range over
     ``projective_grid``, one direction per antipodal pair.
 
-    The pairwise max is computed exactly by branch-and-bound: a row of A
-    direction a is scanned only when an upper bound on every value in it
-    can beat the incumbent. The row bound is the smaller of F(a), the
-    continuous maximum over b (``_reduced_bloch``), and
-    (a.x)^2 + Gy + |T^t a|^2, where Gy is the grid maximum of (b.y)^2
-    (``_row_bounds``). A grid of fewer than ``_CELL_MIN_DIRECTIONS``
-    directions is scanned whole. A finer one is searched on two levels
-    over the cells of ``_grid_cells``. A cell of A directions is bounded by
-    the smaller of the two bounds' corner values (``_row_cell_bounds``).
-    The largest-bounded row of the best-bounded cell seeds the incumbent;
-    only cells whose bound exceeds it get per-direction bounds, and only
-    their directions whose bound exceeds it are scanned, in decreasing
-    bound. In the row of a, a cell of B directions is scored only when
-    (a.x)^2 plus the corner bound of the convex (b.y)^2 + (b.T^t a)^2 can
-    beat the incumbent; the first row seeds its own incumbent from its
-    best-bounded cell. Gy is found by the same search over B cells. No
-    pruned direction can change the maximum.
+    The pairwise max is computed exactly by branch-and-bound on two levels,
+    over the cells of ``_grid_cells``. The row of A direction a is bounded
+    by the smaller of F(a), the continuous maximum over b
+    (``_reduced_bloch``), and (a.x)^2 + Gy + |T^t a|^2, where Gy is the grid
+    maximum of (b.y)^2 (``_row_bounds``). Both are convex in a, so a cell of
+    A directions is bounded by the smaller of their largest corner values
+    (``_cell_bound``). The largest-bounded row of the best-bounded cell
+    seeds the incumbent; only cells whose bound exceeds it get
+    per-direction bounds, and only their directions whose bound exceeds it
+    are scanned, in decreasing bound. In the row of a, a cell of B
+    directions is scored only when (a.x)^2 plus the corner bound of the
+    convex (b.y)^2 + (b.T^t a)^2 can beat the incumbent; without one, the
+    best-bounded cell is scored first. Gy is found by the same search over
+    B cells. No pruned direction can change the maximum.
     """
-    pts = projective_grid(resolution)
+    pts, cells = projective_grid(resolution), _grid_cells(resolution)
     x, y, t = b.x, b.y, b.t
-    if len(pts) < _CELL_MIN_DIRECTIONS:
-        by2 = (pts @ y) ** 2
-
-        def grid_row(i, best):
-            v = pts @ (pts[i] @ t)
-            v *= v
-            v += by2
-            return max(best, float(pts[i] @ x) ** 2 + float(v.max()))
-
-        return float(_scan_rows(np.minimum(*_row_bounds(b, pts, float(by2.max()))),
-                                grid_row, -np.inf))
-
-    cells = _grid_cells(resolution)
     ky2 = (cells.corners @ y) ** 2
 
-    def top(blocks, best, value, offset=0.0):
-        return max([best, *(offset + float(value(rows).max()) for rows in blocks)])
+    def directions(ids):
+        # np.take gathers rows several times faster than fancy indexing
+        return np.take(pts, cells.members(ids), axis=0)
 
-    gy = _cells_search(cells, pts, _cell_bound(cells, ky2), -np.inf,
-                       lambda blocks, best: top(blocks, best, lambda rows: (rows @ y) ** 2))
+    def search(bounds, value, best):
+        # the largest value(directions) over the cells that can beat best
+        if best == -np.inf:
+            best = value(directions(int(np.argmax(bounds))))
+        ids = np.flatnonzero(bounds > best)
+        return max(best, value(directions(ids))) if len(ids) else best
+
+    gy = search(_cell_bound(cells, ky2), lambda u: float(((u @ y) ** 2).max()), -np.inf)
 
     def row(a, best):
         w, ax2 = a @ t, float(a @ x) ** 2
 
-        def value(rows):
-            v, u = rows @ w, rows @ y
+        def value(u):
+            v, q = u @ w, u @ y
             v *= v
-            u *= u
-            v += u
-            return v
+            q *= q
+            v += q
+            return ax2 + float(v.max())
 
-        return _cells_search(cells, pts, ax2 + _cell_bound(cells, ky2 + (cells.corners @ w) ** 2),
-                             best, lambda blocks, best: top(blocks, best, value, ax2))
+        return search(ax2 + _cell_bound(cells, ky2 + (cells.corners @ w) ** 2), value, best)
 
-    def row_bound(av):
-        return np.minimum(*_row_bounds(b, av, gy))
-
-    def scan(blocks, best):
-        starts = np.cumsum([0] + [len(av) for av in blocks])
-
-        def block_row(i, best):
-            k = int(np.searchsorted(starts, i, side="right")) - 1
-            return row(blocks[k][i - starts[k]], best)
-
-        return _scan_rows(np.concatenate([row_bound(av) for av in blocks]), block_row, best)
-
-    def seed(blocks, best):
-        return row(blocks[0][int(np.argmax(row_bound(blocks[0])))], best)
-
-    return float(_cells_search(cells, pts, _row_cell_bounds(b, cells, gy), -np.inf, scan, seed))
+    ub = _cell_bound(cells, *_row_bounds(b, cells.corners, gy))
+    seed = directions(int(np.argmax(ub)))
+    best = row(seed[int(np.argmax(np.minimum(*_row_bounds(b, seed, gy))))], -np.inf)
+    av = directions(np.flatnonzero(ub > best))
+    bounds = np.minimum(*_row_bounds(b, av, gy))
+    rest = np.flatnonzero(bounds > best)
+    for i in rest[np.argsort(-bounds[rest], kind="stable")]:
+        if bounds[i] <= best:
+            break
+        best = row(av[i], best)
+    return float(best)

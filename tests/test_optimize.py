@@ -16,7 +16,6 @@ from twodiscord.measurement import _basis_unchecked, haar_unitary
 from twodiscord.optimize import (
     _alternating_detail,
     _cell_bound,
-    _cell_rows,
     _dephased,
     _grid_cells,
     _jacobi_step,
@@ -28,7 +27,6 @@ from twodiscord.optimize import (
     _rotations,
     _round_robin,
     _row_bounds,
-    _row_cell_bounds,
     _start_points,
     jacobi_search,
     projective_grid,
@@ -750,25 +748,19 @@ class TestProjectiveGrid:
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
 
-    @pytest.mark.parametrize("cells", [False, True], ids=["whole", "cells"])
     @pytest.mark.parametrize("resolution", [8, 9, 16, 21, 33, 42, 65])
-    def test_grid_oracle_matches_full_grid(self, resolution, cells, monkeypatch):
-        # brute force over every pair of grid points, on the whole grid scan
-        # and, with the size floor lifted, on the cell search
-        if cells:
-            monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 0)
+    def test_grid_oracle_matches_full_grid(self, resolution):
+        # brute force over every pair of grid points
         pts = sphere_grid(resolution) if resolution <= 33 else projective_grid(resolution)
         for b in _grid_oracle_states():
             assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
                 _brute_grid_max(b, pts), abs=1e-12)
 
     @pytest.mark.parametrize("resolution", [21, 42])
-    def test_grid_oracle_matches_brute_force_with_partial_last_cells(self, resolution,
-                                                                     monkeypatch):
+    def test_grid_oracle_matches_brute_force_with_partial_last_cells(self, resolution):
         # R = 21: 10 open bands of 42 longitudes; R = 42: 20 open bands of 84
         # longitudes and a half equator of 42; no count is a multiple of the
         # cell height or width
-        monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 0)
         open_bands = (resolution + 1) // 2 - 1
         assert open_bands % optimize._CELL_BANDS
         assert (2 * resolution) % optimize._CELL_LONGITUDES
@@ -779,13 +771,52 @@ class TestProjectiveGrid:
             assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
                 _brute_grid_max(b, pts), abs=1e-15)
 
-    def test_grid_oracle_cells_match_whole_grid_scan(self, monkeypatch):
-        # at R = 400 the cell search and the whole grid scan agree
-        states = _grid_oracle_states()
-        cells = [td.sphere_grid_oracle(b, 400) for b in states]
-        monkeypatch.setattr(optimize, "_CELL_MIN_DIRECTIONS", 10**9)
-        for b, v in zip(states, cells):
-            assert v == pytest.approx(td.sphere_grid_oracle(b, 400), abs=1e-15)
+    @pytest.mark.parametrize("resolution", [16, 21, 65])
+    def test_grid_oracle_matches_brute_force_where_the_row_bounds_cross(self, resolution):
+        # Bloch data with small T, where F and the Gy bound cross inside
+        # some cells: their pointwise minimum is not convex there, so the
+        # cell bound must be the smaller of their two corner bounds
+        pts = projective_grid(resolution)
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            y = rng.standard_normal(3)
+            y *= rng.uniform(0.05, 1.0) / np.linalg.norm(y)
+            x = rng.standard_normal(3)
+            x *= rng.uniform(0.0, 1.0) * rng.integers(0, 2) / np.linalg.norm(x)
+            t = rng.standard_normal((3, 3))
+            t *= 10 ** rng.uniform(-2.0, 0.3) / np.linalg.norm(t, 2)
+            b = td.TwoQubitBloch(x, y, t)
+            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
+                _brute_grid_max(b, pts), abs=1e-15)
+
+    def test_grid_oracle_cells_match_whole_grid_scan(self):
+        # at R = 400 the cell search agrees with a scan of every row whose
+        # bound can beat the incumbent (the product state would crawl there)
+        pts = projective_grid(400)
+        for b in _grid_oracle_states():
+            if np.any(b.x) or np.any(b.t):
+                assert td.sphere_grid_oracle(b, 400) == pytest.approx(
+                    _scanned_grid_max(b, pts), abs=1e-15)
+
+    @pytest.mark.parametrize("where", ["pole", "equator", "last band"])
+    def test_grid_oracle_scans_each_row_once(self, where, monkeypatch):
+        # the optimum's row a has value below its bound F(a), since T^t a
+        # is no grid direction, and every other row's bound lies below that
+        # value; the cell search scans a once, perhaps twice after seeding
+        # from it, never once per cell that holds it. Each scanned row bounds
+        # its B cells once; two more calls bound the cells of (b.y)^2 and
+        # the A cells.
+        pts = projective_grid(400)
+        a = {"pole": pts[0], "equator": pts[-1], "last band": pts[-401]}[where]
+        b = td.TwoQubitBloch(0.6 * a, np.zeros(3), np.outer(a, [0.3, 0.2, 0.1]))
+        calls = []
+        cell_bound = optimize._cell_bound
+        monkeypatch.setattr(optimize, "_cell_bound",
+                            lambda cells, *v: calls.append(1) or cell_bound(cells, *v))
+        value = td.sphere_grid_oracle(b, 400)
+        assert value == pytest.approx(0.36 + np.max((pts @ [0.3, 0.2, 0.1]) ** 2), abs=1e-15)
+        assert value < 0.36 + 0.14 - 1e-9
+        assert 1 <= len(calls) - 2 <= 2
 
     @pytest.mark.parametrize("resolution", [200, 400])
     def test_grid_oracle_prunes_flat_unattained_row_bounds(self, resolution):
@@ -834,70 +865,77 @@ def _brute_grid_max(b, pts):
     )
 
 
-def _cell_members(cells, c):
-    """The grid rows of cell c."""
-    return np.unique(cells.start[c] + cells.offsets[cells.shape[c]])
+def _scanned_grid_max(b, pts):
+    """The objective's maximum over every pair of rows of pts, scanning the
+    rows in decreasing bound F(a) until no bound can beat the incumbent."""
+    by2 = (pts @ b.y) ** 2
+    ub = _reduced_bloch(b, pts)[0]
+    best = -np.inf
+    for i in np.argsort(-ub, kind="stable"):
+        if ub[i] <= best:
+            break
+        best = max(best, float(pts[i] @ b.x) ** 2 + np.max(by2 + (pts @ (pts[i] @ b.t)) ** 2))
+    return best
 
 
 class TestGridCells:
     @pytest.mark.parametrize("resolution", [8, 9, 16, 21, 33, 42, 65, 400])
     def test_cells_partition_the_grid(self, resolution):
         cells = _grid_cells(resolution)
-        members = np.concatenate([_cell_members(cells, c) for c in range(len(cells.slab))])
+        members = np.concatenate([cells.members(c) for c in range(len(cells.start))])
         assert np.array_equal(np.sort(members), np.arange(len(projective_grid(resolution))))
 
     @pytest.mark.parametrize("resolution", [16, 65, 400])
-    def test_blocks_cover_the_cells(self, resolution):
+    def test_members_of_many_cells(self, resolution):
         cells = _grid_cells(resolution)
-        rows = np.arange(len(projective_grid(resolution)))
         rng = np.random.default_rng(resolution)
-        for k in (1, 2, len(cells.slab) // 4, len(cells.slab) // 2, len(cells.slab)):
-            ids = np.sort(rng.choice(len(cells.slab), size=k, replace=False))
-            got = np.concatenate(_cell_rows(cells, ids, rows))
-            assert np.isin(np.concatenate([_cell_members(cells, c) for c in ids]), got).all()
+        for k in (0, 1, 2, len(cells.start) // 2, len(cells.start)):
+            ids = np.sort(rng.choice(len(cells.start), size=k, replace=False))
+            want = [cells.members(c) for c in ids]
+            assert np.array_equal(cells.members(ids), np.concatenate([[], *want]))
 
     def test_cell_count(self):
         # 25 groups of 8 of the 199 open bands, 50 runs of their 800
         # longitudes, 25 runs of the half equator, and the pole
-        assert len(_grid_cells(400).slab) == 25 * 50 + 25 + 1
+        assert len(_grid_cells(400).start) == 25 * 50 + 25 + 1
 
     def test_built_once_small_and_read_only(self):
         cells = _grid_cells(400)
         assert _grid_cells(400) is cells
-        assert cells.corners.nbytes + cells.offsets.nbytes < 200_000
+        assert sum(a.nbytes for a in cells) < 200_000
         with pytest.raises(ValueError):
             cells.corners[0, 0] = 0.0
 
     @pytest.mark.parametrize("resolution", [9, 16, 65, 400])
     def test_corner_bounds_hold_on_every_member(self, resolution):
         # F, the Gy bound and q_a are convex and smallest at 0, so no member
-        # of a cell exceeds the largest value at the cell's corners; the row
-        # cell bound is the smaller of the first two corner bounds
+        # of a cell exceeds the largest value at the cell's corners; the
+        # smaller of F's and the Gy bound's corner bounds bounds their minimum
         rng = np.random.default_rng(resolution)
         cells, pts = _grid_cells(resolution), projective_grid(resolution)
-        ids = rng.choice(len(cells.slab), size=min(40, len(cells.slab)), replace=False)
+        ids = rng.choice(len(cells.start), size=min(40, len(cells.start)), replace=False)
         for seed in range(6):
             b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
             gy = float(np.max((pts @ b.y) ** 2))
             f_cell, g_cell = (_cell_bound(cells, v) for v in _row_bounds(b, cells.corners, gy))
-            row_cell = _row_cell_bounds(b, cells, gy)
+            row_cell = _cell_bound(cells, *_row_bounds(b, cells.corners, gy))
             a = rng.standard_normal(3)
             w = (a / np.linalg.norm(a)) @ b.t
             q_cell = _cell_bound(cells, (cells.corners @ b.y) ** 2 + (cells.corners @ w) ** 2)
             for c in ids:
-                m = pts[_cell_members(cells, c)]
+                m = pts[cells.members(c)]
                 f, g = _row_bounds(b, m, gy)
                 assert f.max() <= f_cell[c] + 1e-12
                 assert g.max() <= g_cell[c] + 1e-12
                 assert np.minimum(f, g).max() <= row_cell[c] + 1e-12
                 assert ((m @ b.y) ** 2 + (m @ w) ** 2).max() <= q_cell[c] + 1e-12
 
-    def test_row_cell_bound_holds_where_the_two_bounds_cross(self):
+    def test_smallest_corner_bound_holds_where_the_row_bounds_cross(self):
         # Bloch data with small T, where F and the Gy bound cross inside
         # some cells: their pointwise minimum is not convex there, and its
         # own corner values fall below it at some members
         cells, pts = _grid_cells(65), projective_grid(65)
-        members = [pts[_cell_members(cells, c)] for c in range(len(cells.slab))]
+        members = [pts[cells.members(c)] for c in range(len(cells.start))]
         rng = np.random.default_rng(1)
         for _ in range(25):
             y = rng.standard_normal(3)
@@ -908,7 +946,7 @@ class TestGridCells:
             t = rng.standard_normal((3, 3))
             t *= 10 ** rng.uniform(-2.0, 0.3) / np.linalg.norm(t, 2)
             b = td.TwoQubitBloch(x, y, t)
-            bound = _row_cell_bounds(b, cells, gy)
+            bound = _cell_bound(cells, *_row_bounds(b, cells.corners, gy))
             for c, m in enumerate(members):
                 assert np.minimum(*_row_bounds(b, m, gy)).max() <= bound[c] + 1e-12
 
@@ -917,8 +955,10 @@ class TestGridCells:
         # radius from its centre; with x along the equator there, (a.x)^2 at
         # those members nearly meets the corner bound
         cells, pts = _grid_cells(400), projective_grid(400)
-        for c in np.flatnonzero(cells.slab == len(cells.slabs) - 1):
-            m = pts[_cell_members(cells, c)]
+        equator = np.flatnonzero(cells.stride == 400)
+        assert len(equator) == 25
+        for c in equator:
+            m = pts[cells.members(c)]
             centre = cells.corners.reshape(4, -1, 3)[:, c].mean(axis=0)
             x = 0.9 * np.cross([0.0, 0.0, 1.0], centre / np.linalg.norm(centre))
             b = td.TwoQubitBloch(x, np.zeros(3), np.zeros((3, 3)))
