@@ -634,6 +634,9 @@ _CELL_BANDS = 8
 _CELL_LONGITUDES = 16
 # relative and absolute padding of a cell's angular radius
 _CELL_PAD = 1e-9
+# the grid oracle scores surviving cells this many at a time, so that a flat
+# objective, where most cells survive, never gathers the whole grid at once
+_CELL_BLOCK = 64
 
 
 class _GridCells(NamedTuple):
@@ -763,38 +766,46 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     x, y, t = b.x, b.y, b.t
     ky2 = (cells.corners @ y) ** 2
 
-    def directions(ids):
-        # np.take gathers rows several times faster than fancy indexing
-        return np.take(pts, cells.members(ids), axis=0)
+    def blocks(ids):
+        # the directions of cells ids, _CELL_BLOCK cells at a time; np.take
+        # gathers rows several times faster than fancy indexing
+        for lo in range(0, len(ids), _CELL_BLOCK):
+            yield np.take(pts, cells.members(ids[lo:lo + _CELL_BLOCK]), axis=0)
 
-    def search(bounds, value, best):
-        # the largest value(directions) over the cells that can beat best
+    def search(bounds, score, best=-np.inf):
+        # score(directions, best) over the cells whose bound exceeds the
+        # incumbent; without one, over the best-bounded cell first
         if best == -np.inf:
-            best = value(directions(int(np.argmax(bounds))))
-        ids = np.flatnonzero(bounds > best)
-        return max(best, value(directions(ids))) if len(ids) else best
+            best = score(*blocks([int(np.argmax(bounds))]), best)
+        for u in blocks(np.flatnonzero(bounds > best)):
+            best = score(u, best)
+        return best
 
-    gy = search(_cell_bound(cells, ky2), lambda u: float(((u @ y) ** 2).max()), -np.inf)
+    gy = search(_cell_bound(cells, ky2), lambda u, best: max(best, float(((u @ y) ** 2).max())))
 
     def row(a, best):
         w, ax2 = a @ t, float(a @ x) ** 2
 
-        def value(u):
+        def score(u, best):
             v, q = u @ w, u @ y
             v *= v
             q *= q
             v += q
-            return ax2 + float(v.max())
+            return max(best, ax2 + float(v.max()))
 
-        return search(ax2 + _cell_bound(cells, ky2 + (cells.corners @ w) ** 2), value, best)
+        return search(ax2 + _cell_bound(cells, ky2 + (cells.corners @ w) ** 2), score, best)
 
     ub = _cell_bound(cells, *_row_bounds(b, cells.corners, gy))
-    seed = directions(int(np.argmax(ub)))
+    seed = next(blocks([int(np.argmax(ub))]))
     best = row(seed[int(np.argmax(np.minimum(*_row_bounds(b, seed, gy))))], -np.inf)
-    av = directions(np.flatnonzero(ub > best))
-    bounds = np.minimum(*_row_bounds(b, av, gy))
-    rest = np.flatnonzero(bounds > best)
-    for i in rest[np.argsort(-bounds[rest], kind="stable")]:
+    # (direction, bound) of every direction whose bound exceeds the seed's row
+    kept = [np.empty((0, 4))]
+    for u in blocks(np.flatnonzero(ub > best)):
+        bounds = np.minimum(*_row_bounds(b, u, gy))
+        kept.append(np.column_stack([u, bounds])[bounds > best])
+    kept = np.concatenate(kept)
+    av, bounds = kept[:, :3], kept[:, 3]
+    for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] <= best:
             break
         best = row(av[i], best)

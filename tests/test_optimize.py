@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -829,6 +830,19 @@ class TestProjectiveGrid:
         assert time.perf_counter() - start < 0.5
         assert value == pytest.approx(np.max((projective_grid(resolution) @ b.y) ** 2),
                                       abs=1e-15)
+
+    def test_grid_oracle_memory_stays_small_on_flat_objectives(self):
+        # Werner 2x2 is flat, so every cell survives; the cells are scored a
+        # block at a time, never gathered whole (the grid alone is 3.8 MB)
+        b = td.to_bloch(td.werner(2, 0.9))
+        td.sphere_grid_oracle(b, 400)  # builds the grid and its cells
+        tracemalloc.start()
+        try:
+            td.sphere_grid_oracle(b, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_grid_oracle_repeats(self):
         b = td.to_bloch(td.random_state(2, 2, rank=3, seed=7))
