@@ -760,7 +760,9 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     directions is scored only when (a.x)^2 plus the corner bound of the
     convex (b.y)^2 + (b.T^t a)^2 can beat the incumbent; without one, the
     best-bounded cell is scored first. Gy is found by the same search over
-    B cells. No pruned direction can change the maximum.
+    B cells. Surviving cells are gathered ``_CELL_BLOCK`` at a time, so a
+    flat objective, where most survive, holds one block at once. No pruned
+    direction can change the maximum.
     """
     pts, cells = projective_grid(resolution), _grid_cells(resolution)
     x, y, t = b.x, b.y, b.t

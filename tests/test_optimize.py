@@ -772,24 +772,6 @@ class TestProjectiveGrid:
             assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
                 _brute_grid_max(b, pts), abs=1e-15)
 
-    @pytest.mark.parametrize("resolution", [16, 21, 65])
-    def test_grid_oracle_matches_brute_force_where_the_row_bounds_cross(self, resolution):
-        # Bloch data with small T, where F and the Gy bound cross inside
-        # some cells: their pointwise minimum is not convex there, so the
-        # cell bound must be the smaller of their two corner bounds
-        pts = projective_grid(resolution)
-        rng = np.random.default_rng(1)
-        for _ in range(60):
-            y = rng.standard_normal(3)
-            y *= rng.uniform(0.05, 1.0) / np.linalg.norm(y)
-            x = rng.standard_normal(3)
-            x *= rng.uniform(0.0, 1.0) * rng.integers(0, 2) / np.linalg.norm(x)
-            t = rng.standard_normal((3, 3))
-            t *= 10 ** rng.uniform(-2.0, 0.3) / np.linalg.norm(t, 2)
-            b = td.TwoQubitBloch(x, y, t)
-            assert td.sphere_grid_oracle(b, resolution) == pytest.approx(
-                _brute_grid_max(b, pts), abs=1e-15)
-
     def test_grid_oracle_cells_match_whole_grid_scan(self):
         # at R = 400 the cell search agrees with a scan of every row whose
         # bound can beat the incumbent (the product state would crawl there)
