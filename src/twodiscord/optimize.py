@@ -21,11 +21,11 @@ small grid and one Riemannian Newton step (``plane_ascent``).
 
 The two-qubit alternation on the Bloch objective (``_alternating_detail``)
 runs through the same ``_lockstep``; its starts are pairs of Bloch
-directions. Its step is two batched eigen half-steps, or, from a start's
-second step on, one Riemannian Newton step (``_newton_points``, shared with
-``plane_ascent``) on the objective maximized over b (``_reduced_bloch``)
-followed by the b half-step. The geometric grid oracle bounds its rows,
-and whole cells of directions (``_grid_cells``), by that same maximum.
+directions. Its step is two half-steps, each from a 2x2 Gram, or, from a
+start's second step on, one Riemannian Newton step (``_newton_points``,
+shared with ``plane_ascent``) on the objective maximized over b
+(``_reduced_bloch``). The geometric grid oracle bounds its rows, and whole
+cells of directions (``_grid_cells``), by that same maximum.
 """
 
 from __future__ import annotations
@@ -451,19 +451,6 @@ def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig, total, lowe
 # ---------------------------------------------------------------------------
 # alternating eigen-iteration and grid oracle on the two-qubit Bloch objective
 
-def _top_unit_eigvecs(m: np.ndarray) -> np.ndarray:
-    """Top eigenvector of each symmetric matrix in an (S, 3, 3) stack.
-
-    Deterministic sign: the first component of largest magnitude is made
-    positive.
-    """
-    vec = np.linalg.eigh(m)[1][:, :, -1]
-    piv = np.argmax(np.abs(vec), axis=1)
-    flip = vec[np.arange(len(vec)), piv] < 0
-    vec[flip] = -vec[flip]
-    return vec
-
-
 def _gram_top(g11, g22, g12):
     """The top eigenvalue of each 2x2 Gram matrix [[g11, g12], [g12, g22]],
     and the gap r between its two eigenvalues."""
@@ -471,31 +458,35 @@ def _gram_top(g11, g22, g12):
     return 0.5 * (g11 + g22 + r), r
 
 
-def _outer(u, v):
-    """The outer product of each pair of rows of two (N, 3) stacks: (N, 3, 3)."""
-    return u[:, :, None] * v[:, None, :]
-
-
 def _bloch_gram(bloch: TwoQubitBloch, av):
-    """(a.x)^2 and the Gram entries g11 = |y|^2, g22 = |T^t a|^2 and
-    g12 = a.Ty of y and T^t a at each row a of the (N, 3) stack av, from
-    one product of av with (x, T, T y)."""
+    """(a.x)^2, w = T^t a and the Gram entries g11 = |y|^2, g22 = |w|^2, g12 = a.Ty
+    of y and w at each row a of the (N, 3) stack av, from one product av (x, T, T y)."""
     q = (av @ np.column_stack([bloch.x, bloch.t, bloch.t @ bloch.y])).T
-    return q[0] * q[0], float(bloch.y @ bloch.y), q[1] * q[1] + q[2] * q[2] + q[3] * q[3], q[4]
+    return (q[0] * q[0], q[1:4].T, float(bloch.y @ bloch.y),
+            q[1] * q[1] + q[2] * q[2] + q[3] * q[3], q[4])
 
 
 def _reduced_bloch(bloch: TwoQubitBloch, av):
     """The Bloch pair objective maximized over b, F(a), at each row a of the
-    (N, 3) stack av, and r; returns (F, r).
+    (N, 3) stack av, the gap r and the unit b attaining F; returns (F, r, b).
 
     F(a) = max_b [(a.x)^2 + (b.y)^2 + (a T b)^2] = (a.x)^2 + (g11 + g22 + r) / 2,
-    with r the gap of the Gram [[g11, g12], [g12, g22]] of y and T^t a
-    (``_bloch_gram``, ``_gram_top``); the b that attains it is the top
-    eigenvector of y y^t + T^t a a^t T.
+    with r the gap of the Gram [[g11, g12], [g12, g22]] of y and w = T^t a
+    (``_bloch_gram``, ``_gram_top``). b, the top eigenvector of y y^t + w w^t,
+    is c1 y + c2 w for the Gram's top eigenvector c = (g11 - g22 + r, 2 g12),
+    or (2 g12, g22 - g11 + r) where g11 < g22, so no entry cancels; where c
+    is 0 (a double eigenvalue), b is y / |y|, or e_3 if y = 0. The first
+    component of b of largest magnitude is positive.
     """
-    ax2, g11, g22, g12 = _bloch_gram(bloch, av)
+    ax2, w, g11, g22, g12 = _bloch_gram(bloch, av)
     top, r = _gram_top(g11, g22, g12)
-    return ax2 + top, r
+    d, g2 = g11 - g22, 2.0 * g12
+    bv = np.where(d >= 0, d + r, g2)[:, None] * bloch.y + np.where(d >= 0, g2, r - d)[:, None] * w
+    n = np.sqrt(np.einsum("ij,ij->i", bv, bv))
+    if not n.all():
+        bv[n == 0], n[n == 0] = bloch.y / np.sqrt(g11) if g11 > 0 else np.eye(3)[2], 1.0
+    bv /= np.copysign(n, bv[np.arange(len(bv)), np.argmax(np.abs(bv), axis=1)])[:, None]
+    return ax2 + top, r, bv
 
 
 def _reduced_bloch_derivatives(bloch: TwoQubitBloch, av):
@@ -515,9 +506,22 @@ def _reduced_bloch_derivatives(bloch: TwoQubitBloch, av):
     grad = 2.0 * ax[:, None] * x + ma + nn / r
     rr = r[:, :, None]
     hess = (2.0 * np.outer(x, x) + m
-            + (2.0 * _outer(ma, ma) + d[:, None, None] * m + 2.0 * np.outer(u, u)) / rr
-            - 2.0 * _outer(nn, nn) / rr**3)
+            + (2.0 * ma[:, :, None] * ma[:, None] + d[:, None, None] * m + 2.0 * np.outer(u, u))
+            / rr - 2.0 * nn[:, :, None] * nn[:, None] / rr**3)
     return grad, hess
+
+
+@lru_cache(maxsize=8)
+def _random_directions(seed: int, restarts: int) -> np.ndarray:
+    """The random starts of the two-qubit alternation, read-only (restarts, 3),
+    built once per key: row r is the Gaussian draw of ``default_rng([seed, r])``
+    made unit (e_1 if it is 0), so it does not depend on ``restarts``."""
+    starts = np.empty((restarts, 3))
+    for r in range(restarts):
+        v = np.random.default_rng([seed, r]).standard_normal(3)
+        starts[r] = v / np.linalg.norm(v) if np.any(v) else np.eye(3)[0]
+    starts.setflags(write=False)
+    return starts
 
 
 # the reduced objective is smooth where its Gram's eigenvalue gap exceeds this
@@ -528,52 +532,42 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
     """Multistart alternation, run by ``_lockstep``.
 
     The starts are e_1, e_2, e_3, the top right singular vector of T, y/|y|
-    (when y != 0) and ``cfg.restarts`` Gaussian directions from
-    ``default_rng([cfg.seed, r])``, each a start for b. A start's first step
-    is two half-steps, each one batched eigh over the running starts: a
-    from b, then b from a. Every later step first tries one Riemannian
-    Newton step (``_newton_points``) on the reduced objective F(a), the
-    maximum over b (``_reduced_bloch``). It keeps the Newton point when F
-    rises there and then takes only the b half-step; otherwise, and where
-    the gap r <= ``_SMOOTH_GAP`` (F is not differentiable at a double
-    eigenvalue), it takes both half-steps. Near maximal entanglement the
-    half-steps alone zigzag along a near-flat ridge for hundreds of steps
-    per start. A start stops converged once a step raises its value by less
-    than ``_VALUE_TOLERANCE``. ``best_params`` is the winner's (a, b).
+    (when y != 0) and the ``_random_directions`` of ``cfg``, each a start
+    for b. A start's first step is two half-steps, a from b, then b from a,
+    each a top eigenvector taken from a 2x2 Gram (``_reduced_bloch``; for
+    a, on the Bloch data with the parties swapped). Every later step first
+    tries one Riemannian Newton step (``_newton_points``) on the reduced
+    objective F(a), the maximum over b, and keeps the Newton point and its
+    b when F rises there; otherwise, and where the gap r <= ``_SMOOTH_GAP``
+    (F is not differentiable at a double eigenvalue), it takes both
+    half-steps. F, r and b are kept from the step that set a. Near maximal
+    entanglement the half-steps alone zigzag along a near-flat ridge for
+    hundreds of steps per start. A start stops converged once a step raises
+    its value by less than ``_VALUE_TOLERANCE``; ``best_params`` is (a, b).
     """
-    x, y, t = b.x, b.y, b.t
-    _, _, vt = np.linalg.svd(t)
-    starts = [np.eye(3)[i] for i in range(3)] + [vt[0]]
-    if np.linalg.norm(y) > 0:
-        starts.append(y / np.linalg.norm(y))
-    for r in range(cfg.restarts):
-        v = np.random.default_rng([cfg.seed, r]).standard_normal(3)
-        n = np.linalg.norm(v)
-        starts.append(v / n if n > 0 else np.eye(3)[0])
-
-    bv = np.array(starts)
+    ny, vt = np.linalg.norm(b.y), np.linalg.svd(b.t)[2]
+    bv = np.concatenate([np.eye(3), vt[:1], (b.y / ny)[None] if ny > 0 else np.empty((0, 3)),
+                         _random_directions(cfg.seed, cfg.restarts)])
+    flip = TwoQubitBloch(b.y, b.x, b.t.T)  # parties swapped: its b half-step is the a half-step
     a = np.zeros_like(bv)
-    values = np.full(len(bv), -np.inf)
-    xx, yy = np.outer(x, x), np.outer(y, y)
+    values, f, gap = np.full(len(bv), -np.inf), np.zeros(len(bv)), np.zeros(len(bv))
 
     def step(idx):
-        cur = a[idx]
-        f, gap = _reduced_bloch(b, cur)
+        cur, new, r, nb = a[idx], f[idx], gap[idx], bv[idx]
         # a start's first step (value -inf) has no a yet
-        tried = np.nonzero(np.isfinite(values[idx]) & (gap > _SMOOTH_GAP))[0]
+        tried = np.nonzero(np.isfinite(values[idx]) & (r > _SMOOTH_GAP))[0]
         half = np.ones(len(idx), dtype=bool)
         if len(tried):
             cand = _newton_points(cur[tried], *_reduced_bloch_derivatives(b, cur[tried]))
-            rise = _reduced_bloch(b, cand)[0] > f[tried]
-            cur[tried[rise]] = cand[rise]
-            half[tried[rise]] = False
+            fc, rc, bc = _reduced_bloch(b, cand)
+            rise = fc > new[tried]
+            up = tried[rise]
+            cur[up], new[up], r[up], nb[up] = cand[rise], fc[rise], rc[rise], bc[rise]
+            half[up] = False
         if np.any(half):
-            w = bv[idx[half]] @ t.T  # rows T b
-            cur[half] = _top_unit_eigvecs(xx + _outer(w, w))
-        a[idx] = cur
-        w2 = cur @ t  # rows T^t a
-        bv[idx] = _top_unit_eigvecs(yy + _outer(w2, w2))
-        new = (cur @ x) ** 2 + (bv[idx] @ y) ** 2 + np.sum(w2 * bv[idx], axis=1) ** 2
+            cur[half] = _reduced_bloch(flip, nb[half])[2]
+            new[half], r[half], nb[half] = _reduced_bloch(b, cur[half])
+        a[idx], f[idx], gap[idx], bv[idx] = cur, new, r, nb
         old = values[idx]
         values[idx] = np.maximum(old, new)
         return new - old < _VALUE_TOLERANCE
@@ -593,6 +587,16 @@ def alternating_sphere_max(b: TwoQubitBloch, cfg: OptimizerConfig):
     return a, bv, res.best_value
 
 
+def _grid_angles(resolution: int):
+    """(sin, cos) of the colatitudes i pi / R, i <= R, and (cos, sin) of the
+    longitudes k pi / R, k < 2R, run on past R and 2R for partial cells."""
+    if resolution < 8:
+        raise DomainError("resolution must be >= 8")
+    theta = np.append(np.linspace(0.0, np.pi, resolution + 1), np.zeros(_CELL_BANDS))
+    phi = np.arange(2 * resolution + _CELL_LONGITUDES) * (np.pi / resolution)
+    return np.stack([np.sin(theta), np.cos(theta)]), np.stack([np.cos(phi), np.sin(phi)])
+
+
 @lru_cache(maxsize=16)
 def projective_grid(resolution: int) -> np.ndarray:
     """One direction per antipodal pair of a latitude-longitude grid:
@@ -606,24 +610,13 @@ def projective_grid(resolution: int) -> np.ndarray:
     the same maximum on it as on the whole sphere grid. Each resolution is
     built once, on first use, and shared by every later call.
     """
-    if resolution < 8:
-        raise DomainError("resolution must be >= 8")
     r = resolution
-    theta = np.linspace(0.0, np.pi, r + 1)
-    phi = np.arange(2 * r) * (np.pi / r)
-    st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
-    # (latitude, number of longitudes kept): pole, open bands, even-R equator
-    rows = [(0, 1)] + [(i, 2 * r) for i in range(1, (r + 1) // 2)]
-    if r % 2 == 0:
-        rows.append((r // 2, r))
-    pts = np.empty((r * r - r + 1, 3))
-    lo = 0
-    for i, n in rows:
-        band = pts[lo:lo + n]
-        band[:, 0] = st[i] * cp[:n]
-        band[:, 1] = st[i] * sp[:n]
-        band[:, 2] = ct[i]
-        lo += n
+    (st, ct), (cp, sp) = _grid_angles(r)
+    # longitudes kept at latitude i = 0, 1, ...: pole, open bands, even-R equator
+    count = [1] + [2 * r] * ((r + 1) // 2 - 1) + [r] * (1 - r % 2)
+    i = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    pts = np.stack([st[i] * cp[k], st[i] * sp[k], ct[i]], axis=1)
     pts.setflags(write=False)
     return pts
 
@@ -635,7 +628,7 @@ _CELL_LONGITUDES = 16
 # relative and absolute padding of a cell's angular radius
 _CELL_PAD = 1e-9
 # the grid oracle scores surviving cells this many at a time, so that a flat
-# objective, where most cells survive, never gathers the whole grid at once
+# objective, where most cells survive, never holds the whole grid at once
 _CELL_BLOCK = 64
 
 
@@ -646,26 +639,37 @@ class _GridCells(NamedTuple):
     ``_CELL_BANDS`` (the last may be shorter) and, for even R, the half
     equator is one more run; each run is cut into runs of
     ``_CELL_LONGITUDES`` longitudes (the last may be shorter), so the cells
-    partition the grid. Cell c holds the rows
-    ``start[c] + stride[c] * i + k`` for i < ``bands[c]``, k < ``width[c]``.
+    partition the grid. Cell c holds the directions at latitude ``band[c] + i``
+    and longitude ``lon[c] + k``, i < ``bands[c]``, k < ``width[c]``, of the
+    ``_grid_angles`` tables ``theta`` and ``phi``; ``full[c]`` when it is 8 x 16.
     ``corners[k * C + c]``, k < 4, enclose cell c of the C: every direction
     in it lies in the convex hull of 0 and those corners. A cell in
     ``wide`` spans a right angle or more around its centre and has no
     enclosure.
     """
 
-    start: np.ndarray
-    stride: np.ndarray
+    band: np.ndarray
+    lon: np.ndarray
     bands: np.ndarray
     width: np.ndarray
+    full: np.ndarray
     corners: np.ndarray
     wide: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
-    def members(self, ids):
-        """The grid rows of the cells ids (one id or an array), each once."""
+    def directions(self, ids):
+        """The directions of the cells ids (an array), each once: rows of
+        ``projective_grid``, bit for bit, from the cells' angle tables."""
         i, k = np.arange(_CELL_BANDS)[:, None], np.arange(_CELL_LONGITUDES)
-        rows = self.start[ids, None, None] + self.stride[ids, None, None] * i + k
-        return rows[(i < self.bands[ids, None, None]) & (k < self.width[ids, None, None])]
+        st, ct = np.take(self.theta, self.band[ids, None, None] + i, axis=1)
+        cp, sp = np.take(self.phi, self.lon[ids, None, None] + k, axis=1)
+        u = np.empty((len(st), _CELL_BANDS, _CELL_LONGITUDES, 3))
+        u[..., 0], u[..., 1], u[..., 2] = st * cp, st * sp, ct
+        if self.full[ids].all():
+            return u.reshape(-1, 3)
+        keep = (i < self.bands[ids, None, None]) & (k < self.width[ids, None, None])
+        return np.take(u.reshape(-1, 3), np.flatnonzero(keep), axis=0)
 
 
 @lru_cache(maxsize=16)
@@ -678,22 +682,21 @@ def _grid_cells(resolution: int) -> _GridCells:
     circle of colatitude tm, then one along a meridian. Padded by
     ``_CELL_PAD``, alpha < pi / 2 puts every direction u of the cell in
     conv{0, c + tan(alpha) (+-e_theta +- e_phi)}: u / (u.c) lies in that
-    tangent square at c, and 0 < u.c <= 1. Only the corners and four
-    integers per cell are built, once per resolution.
+    tangent square at c, and 0 < u.c <= 1. Only the corners, four integers
+    and a flag per cell, and the angle tables are built, once per resolution.
     """
-    projective_grid(resolution)  # validates the resolution
-    r, step = resolution, np.pi / resolution
-    # (first row, first band, bands, longitudes per band) per run of bands
+    angles, r, step = _grid_angles(resolution), resolution, np.pi / resolution
+    # (first band, bands, longitudes per band) per run of bands
     open_bands = (r + 1) // 2 - 1
-    runs = [(0, 0, 1, 1)] + [(1 + (i - 1) * 2 * r, i, min(_CELL_BANDS, open_bands + 1 - i), 2 * r)
-                             for i in range(1, open_bands + 1, _CELL_BANDS)]
+    runs = [(0, 1, 1)] + [(i, min(_CELL_BANDS, open_bands + 1 - i), 2 * r)
+                          for i in range(1, open_bands + 1, _CELL_BANDS)]
     if r % 2 == 0:
-        runs.append((1 + open_bands * 2 * r, r // 2, 1, r))
+        runs.append((r // 2, 1, r))
     table = np.array(runs)
-    count = -(-table[:, 3] // _CELL_LONGITUDES)  # cells per run
+    count = -(-table[:, 2] // _CELL_LONGITUDES)  # cells per run
     run = np.repeat(np.arange(len(runs)), count)
     lo = (np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)) * _CELL_LONGITUDES
-    row, first, bands, stride = table[run].T
+    first, bands, stride = table[run].T
     width = np.minimum(lo + _CELL_LONGITUDES, stride) - lo
     t1, t2 = first * step, (first + bands - 1) * step
     p1, p2 = lo * step, (lo + width - 1) * step
@@ -708,7 +711,8 @@ def _grid_cells(resolution: int) -> _GridCells:
     h = np.tan(np.where(wide, 0.0, alpha))[:, None]
     corners = np.concatenate([c + h * (s1 * e_theta + s2 * e_phi)
                               for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)])
-    arrays = (row + lo, stride, bands, width, corners, np.flatnonzero(wide))
+    full = bands * width == _CELL_BANDS * _CELL_LONGITUDES
+    arrays = (first, lo, bands, width, full, corners, np.flatnonzero(wide), *angles)
     for a in arrays:
         a.setflags(write=False)
     return _GridCells(*arrays)
@@ -735,9 +739,8 @@ def _row_bounds(b: TwoQubitBloch, av, gy):
     """Two upper bounds on the grid objective's row maximum at each row a of
     av, both convex in a and smallest at 0: F(a) (``_reduced_bloch``) and
     (a.x)^2 + gy + |T^t a|^2, where gy >= the grid maximum of (b.y)^2.
-    Both come from one ``_bloch_gram``; a second product for F would cost
-    the per-direction bounds of flat objectives a third more."""
-    ax2, g11, g22, g12 = _bloch_gram(b, av)
+    Both come from one ``_bloch_gram``, without the b of ``_reduced_bloch``."""
+    ax2, _, g11, g22, g12 = _bloch_gram(b, av)
     return ax2 + _gram_top(g11, g22, g12)[0], ax2 + gy + g22
 
 
@@ -760,19 +763,16 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     directions is scored only when (a.x)^2 plus the corner bound of the
     convex (b.y)^2 + (b.T^t a)^2 can beat the incumbent; without one, the
     best-bounded cell is scored first. Gy is found by the same search over
-    B cells. Surviving cells are gathered ``_CELL_BLOCK`` at a time, so a
-    flat objective, where most survive, holds one block at once. No pruned
-    direction can change the maximum.
+    B cells. Surviving cells' directions are built ``_CELL_BLOCK`` cells at
+    a time (``_GridCells.directions``), never the whole grid, so a flat
+    objective holds one block at once. No pruned direction can change it.
     """
-    pts, cells = projective_grid(resolution), _grid_cells(resolution)
-    x, y, t = b.x, b.y, b.t
-    ky2 = (cells.corners @ y) ** 2
+    cells = _grid_cells(resolution)
+    ky2 = (cells.corners @ b.y) ** 2
 
     def blocks(ids):
-        # the directions of cells ids, _CELL_BLOCK cells at a time; np.take
-        # gathers rows several times faster than fancy indexing
         for lo in range(0, len(ids), _CELL_BLOCK):
-            yield np.take(pts, cells.members(ids[lo:lo + _CELL_BLOCK]), axis=0)
+            yield cells.directions(ids[lo:lo + _CELL_BLOCK])
 
     def search(bounds, score, best=-np.inf):
         # score(directions, best) over the cells whose bound exceeds the
@@ -783,13 +783,13 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
             best = score(u, best)
         return best
 
-    gy = search(_cell_bound(cells, ky2), lambda u, best: max(best, float(((u @ y) ** 2).max())))
+    gy = search(_cell_bound(cells, ky2), lambda u, best: max(best, float(((u @ b.y) ** 2).max())))
 
     def row(a, best):
-        w, ax2 = a @ t, float(a @ x) ** 2
+        w, ax2 = a @ b.t, float(a @ b.x) ** 2
 
         def score(u, best):
-            v, q = u @ w, u @ y
+            v, q = u @ w, u @ b.y
             v *= v
             q *= q
             v += q

@@ -201,8 +201,8 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     whole grid evaluates without touching density matrices. Flipping a or b
     only permutes the table, so both range over ``projective_grid``. The
     marginal entropies depend on one direction each and are computed once
-    per direction; the joint entropy is accumulated 32 rows (A directions)
-    at a time in preallocated buffers.
+    per direction; the joint entropy is accumulated in preallocated buffers
+    for the 4 best-bounded rows (A directions), then 32 rows at a time.
 
     The maximum is exact branch-and-bound: no grid value in row a exceeds
     the convexity bound U(a) of ``_convexity_rows``, so the rows are visited
@@ -227,8 +227,8 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     chunk = 32
     m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))
     best = -np.inf
-    for lo in range(0, n, chunk):
-        rows = order[lo:lo + chunk]
+    for lo in [0, *range(4, n, chunk)]:
+        rows = order[lo:lo + chunk if lo else 4]
         # rows whose bound can still reach the incumbent: a prefix, as the bound decreases
         c = int(np.count_nonzero(bound[rows] + 1e-9 >= best))
         if not c:

@@ -631,10 +631,12 @@ class TestReducedBloch:
 
     def test_is_the_maximum_over_b(self):
         for b, a in self._cases():
-            f, _ = _reduced_bloch(b, a)
+            f, _, bv = _reduced_bloch(b, a)
             w = a @ b.t
             top = np.linalg.eigvalsh(np.outer(b.y, b.y) + w[:, :, None] * w[:, None, :])[:, -1]
             np.testing.assert_allclose(f, (a @ b.x) ** 2 + top, rtol=0, atol=1e-13)
+            attained = (a @ b.x) ** 2 + (bv @ b.y) ** 2 + np.sum(w * bv, axis=1) ** 2
+            np.testing.assert_allclose(attained, f, rtol=0, atol=1e-14)
 
     def test_derivatives_match_central_differences(self):
         eps = 1e-5
@@ -648,6 +650,100 @@ class TestReducedBloch:
                 g_m, _ = _reduced_bloch_derivatives(b, a - e)
                 np.testing.assert_allclose(hess[:, :, i], (g_p - g_m) / (2 * eps),
                                            rtol=0, atol=1e-6)
+
+
+def _signed_top(m):
+    """The top eigenvector of a symmetric 3x3 matrix from eigh, its first
+    component of largest magnitude made positive."""
+    vec = np.linalg.eigh(m)[1][:, -1]
+    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
+
+
+def _span_case(y, w, x=np.zeros(3)):
+    """Bloch data whose row a = e_1 has T^t a = w, and that row."""
+    return td.TwoQubitBloch(x, y, np.vstack([w, np.zeros((2, 3))])), np.eye(3)[:1]
+
+
+class TestGramHalfStep:
+    # the b of _reduced_bloch is the top eigenvector of y y^t + w w^t,
+    # w = T^t a, taken from the 2x2 Gram of y and w instead of eigh
+    def test_matches_eigh_on_random_rows(self):
+        rng = np.random.default_rng(23)
+        for seed in range(8):
+            b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
+            a = rng.standard_normal((6, 3))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            bv = _reduced_bloch(b, a)[2]
+            for row, w in zip(bv, a @ b.t):
+                want = _signed_top(np.outer(b.y, b.y) + np.outer(w, w))
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_no_cancellation_at_a_tiny_gram_offdiagonal(self, wide):
+        # y and w almost orthogonal, |y| > |w| or |y| < |w|: the other
+        # formula for the Gram's eigenvector cancels to rounding noise
+        u, v = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0])
+        y, w = (0.8 * u, 0.3 * v + 1e-9 * u) if wide else (0.3 * u, 0.8 * v + 1e-9 * u)
+        bv = _reduced_bloch(*_span_case(y, w))[2][0]
+        want = _signed_top(np.outer(y, y) + np.outer(w, w))
+        np.testing.assert_allclose(bv, want, rtol=0, atol=1e-13)
+        assert abs(np.linalg.norm(bv) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("case", ["y = 0", "w = 0", "both zero", "parallel"])
+    def test_degenerate_spans(self, case):
+        # the sign rule makes the component of largest magnitude, 0.64, positive
+        u = np.array([-0.48, 0.6, 0.64])
+        y, w, want = {
+            "y = 0": (np.zeros(3), -0.7 * u, u),
+            "w = 0": (-0.7 * u, np.zeros(3), u),
+            "both zero": (np.zeros(3), np.zeros(3), np.array([0.0, 0.0, 1.0])),
+            "parallel": (-0.5 * u, 0.3 * u, u),
+        }[case]
+        x = np.array([0.1, 0.2, 0.3])
+        f, r, bv = _reduced_bloch(*_span_case(y, w, x))
+        np.testing.assert_allclose(bv[0], want, rtol=0, atol=1e-15)
+        assert f[0] == pytest.approx(0.01 + y @ y + w @ w, abs=1e-15)
+        assert r[0] == pytest.approx(y @ y + w @ w, abs=1e-15)
+
+    @pytest.mark.parametrize("frame", ["axes", "rotated"])
+    def test_double_eigenvalue_attains_the_top(self, frame):
+        # y and w orthogonal with equal norms: every unit vector of their span
+        # is a top eigenvector, so only the value it attains is fixed; along
+        # the axes the Gram is exactly 0.25 I and b falls back on y / |y|
+        q = np.eye(3) if frame == "axes" else np.linalg.qr(
+            np.random.default_rng(3).standard_normal((3, 3)))[0]
+        y, w = 0.5 * q[:, 0], 0.5 * q[:, 1]
+        b, a = _span_case(y, w)
+        f, r, bv = _reduced_bloch(b, a)
+        assert r[0] <= 1e-16
+        assert np.linalg.norm(bv[0]) == pytest.approx(1.0, abs=1e-15)
+        assert abs(bv[0] @ np.cross(y, w)) <= 1e-15
+        assert (bv[0] @ y) ** 2 + (bv[0] @ w) ** 2 == pytest.approx(0.25, abs=1e-15)
+        assert f[0] == pytest.approx(0.25, abs=1e-15)
+        if frame == "axes":
+            assert np.array_equal(bv[0], [1.0, 0.0, 0.0])
+
+
+class TestRandomDirections:
+    def test_read_only_and_built_once(self):
+        starts = optimize._random_directions(0, 64)
+        assert optimize._random_directions(0, 64) is starts
+        assert starts.shape == (64, 3)
+        with pytest.raises(ValueError):
+            starts[0, 0] = 1.0
+
+    def test_each_row_is_its_seeded_draw(self):
+        starts = optimize._random_directions(5, 16)
+        for r, row in enumerate(starts):
+            v = np.random.default_rng([5, r]).standard_normal(3)
+            assert np.array_equal(row, v / np.linalg.norm(v))
+
+    def test_fewer_restarts_are_a_prefix(self):
+        assert np.array_equal(optimize._random_directions(0, 16),
+                              optimize._random_directions(0, 64)[:16])
+
+    def test_no_restarts(self):
+        assert optimize._random_directions(0, 0).shape == (0, 3)
 
 
 class TestAlternatingLockstep:
@@ -815,7 +911,7 @@ class TestProjectiveGrid:
 
     def test_grid_oracle_memory_stays_small_on_flat_objectives(self):
         # Werner 2x2 is flat, so every cell survives; the cells are scored a
-        # block at a time, never gathered whole (the grid alone is 3.8 MB)
+        # block at a time, never built whole (the grid alone is 3.8 MB)
         b = td.to_bloch(td.werner(2, 0.9))
         td.sphere_grid_oracle(b, 400)  # builds the grid and its cells
         tracemalloc.start()
@@ -877,23 +973,53 @@ def _scanned_grid_max(b, pts):
 class TestGridCells:
     @pytest.mark.parametrize("resolution", [8, 9, 16, 21, 33, 42, 65, 400])
     def test_cells_partition_the_grid(self, resolution):
+        # the cells' directions are the grid's rows, bit for bit, each once
         cells = _grid_cells(resolution)
-        members = np.concatenate([cells.members(c) for c in range(len(cells.start))])
-        assert np.array_equal(np.sort(members), np.arange(len(projective_grid(resolution))))
+        u = cells.directions(np.arange(len(cells.band)))
+        pts = projective_grid(resolution)
+        assert u.shape == pts.shape
+        assert np.array_equal(u[np.lexsort(u.T)], pts[np.lexsort(pts.T)])
 
     @pytest.mark.parametrize("resolution", [16, 65, 400])
-    def test_members_of_many_cells(self, resolution):
+    def test_directions_of_many_cells(self, resolution):
         cells = _grid_cells(resolution)
         rng = np.random.default_rng(resolution)
-        for k in (0, 1, 2, len(cells.start) // 2, len(cells.start)):
-            ids = np.sort(rng.choice(len(cells.start), size=k, replace=False))
-            want = [cells.members(c) for c in ids]
-            assert np.array_equal(cells.members(ids), np.concatenate([[], *want]))
+        for k in (0, 1, 2, len(cells.band) // 2, len(cells.band)):
+            ids = np.sort(rng.choice(len(cells.band), size=k, replace=False))
+            want = [cells.directions([c]) for c in ids]
+            assert np.array_equal(cells.directions(ids), np.concatenate([np.empty((0, 3)), *want]))
 
     def test_cell_count(self):
         # 25 groups of 8 of the 199 open bands, 50 runs of their 800
         # longitudes, 25 runs of the half equator, and the pole
-        assert len(_grid_cells(400).start) == 25 * 50 + 25 + 1
+        assert len(_grid_cells(400).band) == 25 * 50 + 25 + 1
+
+    def test_grid_oracle_never_builds_the_grid(self, monkeypatch):
+        # from cold caches the R = 400 oracle builds its cells and their
+        # angle tables only; the grid alone is 3.8 MB
+        def no_grid(resolution):
+            raise AssertionError("projective_grid was called")
+
+        b = td.to_bloch(td.random_state(2, 2, rank=3, seed=7))
+        want = td.sphere_grid_oracle(b, 400)
+        _grid_cells.cache_clear()
+        monkeypatch.setattr(optimize, "projective_grid", no_grid)
+        tracemalloc.start()
+        try:
+            value = td.sphere_grid_oracle(b, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == want
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("resolution", [0, -3, 4, 7])
+    def test_rejects_small_resolution(self, resolution):
+        b = td.to_bloch(td.random_state(2, 2, rank=2, seed=1))
+        with pytest.raises(td.DomainError):
+            _grid_cells(resolution)
+        with pytest.raises(td.DomainError):
+            td.sphere_grid_oracle(b, resolution)
 
     def test_built_once_small_and_read_only(self):
         cells = _grid_cells(400)
@@ -909,7 +1035,7 @@ class TestGridCells:
         # smaller of F's and the Gy bound's corner bounds bounds their minimum
         rng = np.random.default_rng(resolution)
         cells, pts = _grid_cells(resolution), projective_grid(resolution)
-        ids = rng.choice(len(cells.start), size=min(40, len(cells.start)), replace=False)
+        ids = rng.choice(len(cells.band), size=min(40, len(cells.band)), replace=False)
         for seed in range(6):
             b = td.to_bloch(td.random_state(2, 2, rank=seed % 4 + 1, seed=seed))
             gy = float(np.max((pts @ b.y) ** 2))
@@ -919,7 +1045,7 @@ class TestGridCells:
             w = (a / np.linalg.norm(a)) @ b.t
             q_cell = _cell_bound(cells, (cells.corners @ b.y) ** 2 + (cells.corners @ w) ** 2)
             for c in ids:
-                m = pts[cells.members(c)]
+                m = cells.directions([c])
                 f, g = _row_bounds(b, m, gy)
                 assert f.max() <= f_cell[c] + 1e-12
                 assert g.max() <= g_cell[c] + 1e-12
@@ -931,7 +1057,7 @@ class TestGridCells:
         # some cells: their pointwise minimum is not convex there, and its
         # own corner values fall below it at some members
         cells, pts = _grid_cells(65), projective_grid(65)
-        members = [pts[cells.members(c)] for c in range(len(cells.start))]
+        members = [cells.directions([c]) for c in range(len(cells.band))]
         rng = np.random.default_rng(1)
         for _ in range(25):
             y = rng.standard_normal(3)
@@ -950,11 +1076,11 @@ class TestGridCells:
         # along the equator a cell's end members lie exactly its angular
         # radius from its centre; with x along the equator there, (a.x)^2 at
         # those members nearly meets the corner bound
-        cells, pts = _grid_cells(400), projective_grid(400)
-        equator = np.flatnonzero(cells.stride == 400)
+        cells = _grid_cells(400)
+        equator = np.flatnonzero(cells.band == 200)
         assert len(equator) == 25
         for c in equator:
-            m = pts[cells.members(c)]
+            m = cells.directions([c])
             centre = cells.corners.reshape(4, -1, 3)[:, c].mean(axis=0)
             x = 0.9 * np.cross([0.0, 0.0, 1.0], centre / np.linalg.norm(centre))
             b = td.TwoQubitBloch(x, np.zeros(3), np.zeros((3, 3)))
