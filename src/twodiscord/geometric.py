@@ -16,7 +16,14 @@ from .measurement import (
     bloch_basis,
     diagonal_distribution,
 )
-from .optimize import DiscordValue, OptimizerConfig, _alternating_detail, search_bases
+from .optimize import (
+    DiscordValue,
+    OptimizationResult,
+    OptimizerConfig,
+    _alternating_detail,
+    _check_extra_warm_starts,
+    search_bases,
+)
 from .states import BipartiteState, _check_family, _check_side, from_bloch, purity
 
 GRAM_TOL = 1e-12
@@ -219,12 +226,27 @@ def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig
                           extra_warm_starts=()) -> DiscordValue:
     """purity(state) minus the best found one-sided dephased purity.
 
-    The basis comes from the exact Jacobi sweeps of ``search_bases``; on a
-    measured qubit the first step already reaches the global optimum.
+    On a measured qubit the value is exact, with no search: in the operator
+    basis {I, sigma}/sqrt(2) the basis of Bloch direction n retains
+    G_00 + n^t G' n of the purity tr(G), with G = C C^t (C^t C for side B)
+    and G' = G[1:, 1:], so D = tr(G) - G_00 - lambda_max(G'), attained at
+    the top eigenvector n of G' (Luo & Fu, PRA 82, 034302 (2010)). The
+    report then has no restarts and no iterations, and ``cfg`` and the
+    extra warm starts are not used. On a side of dimension 3 or more the
+    basis comes from the exact Jacobi sweeps of ``search_bases``.
     """
     _check_side(side)
-    bound = lower_bound_one_sided(correlation_matrix(state), side)
-    return search_bases(state, (side,), cfg, purity(state.rho), bound, extra=extra_warm_starts)
+    cd = correlation_matrix(state)
+    bound, total = lower_bound_one_sided(cd, side), purity(state.rho)
+    if (cd.dim_a if side == "A" else cd.dim_b) > 2:
+        return search_bases(state, (side,), cfg, total, bound, extra=extra_warm_starts)
+    _check_extra_warm_starts(state, side, extra_warm_starts)
+    g = cd.c @ cd.c.T if side == "A" else cd.c.T @ cd.c
+    lam, vec = np.linalg.eigh(g[1:, 1:])
+    value = float(np.trace(g) - g[0, 0] - lam[-1])
+    basis = bloch_basis(vec[:, -1])
+    report = OptimizationResult(total - value, (basis.vectors,), 0, 0, True)
+    return DiscordValue(value, basis, bound, report)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,16 @@ class DiscordValue:
 # ---------------------------------------------------------------------------
 # warm starts
 
+def _check_extra_warm_starts(state: BipartiteState, side, extra):
+    """Raise DimensionMismatchError unless every OrthonormalBasis in ``extra``
+    has the dimension of the measured ``side`` of ``state``."""
+    n = state.dim_a if side == "A" else state.dim_b
+    for basis in extra:
+        if basis.dim != n:
+            raise DimensionMismatchError(f"an extra warm start has dimension {basis.dim}, "
+                                         f"side {side} has {n}")
+
+
 def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
     """Starting points, as tuples of unitaries, for a search measuring ``sides``.
 
@@ -103,10 +113,7 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
     one-sided search.
     """
     dims = {"A": state.dim_a, "B": state.dim_b}
-    for basis in extra:
-        if basis.dim != dims[sides[0]]:
-            raise DimensionMismatchError(f"an extra warm start has dimension {basis.dim}, "
-                                         f"side {sides[0]} has {dims[sides[0]]}")
+    _check_extra_warm_starts(state, sides[0], extra)
     return [tuple(np.eye(dims[s], dtype=complex) for s in sides),
             tuple(np.linalg.eigh(partial_trace(state, s).entries)[1] for s in sides),
             *((basis.vectors,) for basis in extra)]
@@ -489,26 +496,32 @@ def _reduced_bloch(bloch: TwoQubitBloch, av):
     return ax2 + top, r, bv
 
 
-def _reduced_bloch_derivatives(bloch: TwoQubitBloch, av):
-    """The gradient (N, 3) and Hessian (N, 3, 3) in R^3 of ``_reduced_bloch``'s
-    F at each row a of av; r must be > 0 there.
+def _reduced_bloch_derivatives(bloch: TwoQubitBloch):
+    """The derivatives of ``_reduced_bloch``'s F for one state: a function
+    mapping an (N, 3) stack av to the gradient (N, 3) and Hessian (N, 3, 3)
+    in R^3 of F at each row a; r must be > 0 there.
 
     With M = T T^t, u = T y and N = (g22 - g11) M a + 2 g12 u:
     grad = 2 (a.x) x + M a + N / r and
     Hess = 2 x x^t + M + (2 M a a^t M + (g22 - g11) M + 2 u u^t) / r - 2 N N^t / r^3.
+    M, u, g11 = |y|^2, 2 x x^t + M and 2 u u^t are built once, here.
     """
     x, y, t = bloch.x, bloch.y, bloch.t
     m, u = t @ t.T, t @ y
-    ax, ma, g12 = av @ x, av @ m, av @ u
-    g11, g22 = float(y @ y), np.sum(av * ma, axis=1)
-    d, r = g22 - g11, _gram_top(g11, g22, g12)[1][:, None]
-    nn = d[:, None] * ma + 2.0 * g12[:, None] * u
-    grad = 2.0 * ax[:, None] * x + ma + nn / r
-    rr = r[:, :, None]
-    hess = (2.0 * np.outer(x, x) + m
-            + (2.0 * ma[:, :, None] * ma[:, None] + d[:, None, None] * m + 2.0 * np.outer(u, u))
-            / rr - 2.0 * nn[:, :, None] * nn[:, None] / rr**3)
-    return grad, hess
+    g11, hess0, uu = float(y @ y), 2.0 * np.outer(x, x) + m, 2.0 * np.outer(u, u)
+
+    def derivatives(av):
+        ax, ma, g12 = av @ x, av @ m, av @ u
+        g22 = np.sum(av * ma, axis=1)
+        d, r = g22 - g11, _gram_top(g11, g22, g12)[1][:, None]
+        nn = d[:, None] * ma + 2.0 * g12[:, None] * u
+        grad = 2.0 * ax[:, None] * x + ma + nn / r
+        rr = r[:, :, None]
+        hess = (hess0 + (2.0 * ma[:, :, None] * ma[:, None] + d[:, None, None] * m + uu)
+                / rr - 2.0 * nn[:, :, None] * nn[:, None] / rr**3)
+        return grad, hess
+
+    return derivatives
 
 
 @lru_cache(maxsize=8)
@@ -549,6 +562,7 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
     bv = np.concatenate([np.eye(3), vt[:1], (b.y / ny)[None] if ny > 0 else np.empty((0, 3)),
                          _random_directions(cfg.seed, cfg.restarts)])
     flip = TwoQubitBloch(b.y, b.x, b.t.T)  # parties swapped: its b half-step is the a half-step
+    derivatives = _reduced_bloch_derivatives(b)
     a = np.zeros_like(bv)
     values, f, gap = np.full(len(bv), -np.inf), np.zeros(len(bv)), np.zeros(len(bv))
 
@@ -558,7 +572,7 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
         tried = np.nonzero(np.isfinite(values[idx]) & (r > _SMOOTH_GAP))[0]
         half = np.ones(len(idx), dtype=bool)
         if len(tried):
-            cand = _newton_points(cur[tried], *_reduced_bloch_derivatives(b, cur[tried]))
+            cand = _newton_points(cur[tried], *derivatives(cur[tried]))
             fc, rc, bc = _reduced_bloch(b, cand)
             rise = fc > new[tried]
             up = tried[rise]
@@ -762,10 +776,11 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
     are scanned, in decreasing bound. In the row of a, a cell of B
     directions is scored only when (a.x)^2 plus the corner bound of the
     convex (b.y)^2 + (b.T^t a)^2 can beat the incumbent; without one, the
-    best-bounded cell is scored first. Gy is found by the same search over
-    B cells. Surviving cells' directions are built ``_CELL_BLOCK`` cells at
-    a time (``_GridCells.directions``), never the whole grid, so a flat
-    objective holds one block at once. No pruned direction can change it.
+    best-bounded cell is scored first, and not again. Gy is found by the
+    same search over B cells. Surviving cells' directions are built
+    ``_CELL_BLOCK`` cells at a time (``_GridCells.directions``), never the
+    whole grid, so a flat objective holds one block at once. No pruned
+    direction can change it.
     """
     cells = _grid_cells(resolution)
     ky2 = (cells.corners @ b.y) ** 2
@@ -776,10 +791,13 @@ def sphere_grid_oracle(b: TwoQubitBloch, resolution: int) -> float:
 
     def search(bounds, score, best=-np.inf):
         # score(directions, best) over the cells whose bound exceeds the
-        # incumbent; without one, over the best-bounded cell first
+        # incumbent; without one, over the best-bounded cell first, once
+        first = -1
         if best == -np.inf:
-            best = score(*blocks([int(np.argmax(bounds))]), best)
-        for u in blocks(np.flatnonzero(bounds > best)):
+            first = int(np.argmax(bounds))
+            best = score(*blocks([first]), best)
+        ids = np.flatnonzero(bounds > best)
+        for u in blocks(ids[ids != first]):
             best = score(u, best)
         return best
 

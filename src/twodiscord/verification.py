@@ -384,7 +384,9 @@ def hierarchy(state: BipartiteState, cfg: OptimizerConfig, two_sided, one_sided)
 
     Each one-sided search is warm-started from the two-sided optimum's basis
     on its side, so an unlucky restart draw cannot break two-sided >=
-    one-sided. Returns the three results, two-sided first.
+    one-sided. The warm start only matters on a side of dimension 3 or more:
+    on a measured qubit the geometric one-sided discord is exact and takes
+    no start. Returns the three results, two-sided first.
     """
     ab = two_sided(state, cfg)
     m = ab.optimal_measurement

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twodiscord as td
-from twodiscord import OptimizerConfig
+from twodiscord import OptimizerConfig, optimize
 from twodiscord.geometric import measurement_matrix
+from twodiscord.optimize import search_bases
 from twodiscord.verification import (
     TOLERANCES,
     random_basis,
@@ -215,34 +216,81 @@ class TestGeoDiscord:
         assert res.value <= td.purity(st.rho) + 1e-12
 
 
-def _qubit_side_closed_form(state, side):
-    """tr(CC^t) - (CC^t)_00 - lambda_max((CC^t)[1:, 1:]), with C oriented so that
-    its rows belong to the measured qubit side: the one-sided geometric discord
-    on a measured qubit (Luo & Fu, PRA 82, 034302 (2010))."""
-    c = td.correlation_matrix(state).c
-    g = c @ c.T if side == "A" else c.T @ c
-    return float(np.trace(g) - g[0, 0] - np.linalg.eigvalsh(g[1:, 1:])[-1])
+def _one_sided_discord_at(state, basis, side):
+    """purity(state) minus its purity after dephasing ``side`` in ``basis``."""
+    dephased = td.dephase_one_sided(state, basis, side)
+    return td.purity(state.rho) - td.purity(dephased.rho)
+
+
+# every measured-qubit shape, each drawn at every rank
+QUBIT_SIDES = [((2, 2), "A"), ((2, 2), "B"), ((2, 3), "A"), ((2, 4), "A"),
+               ((3, 2), "B"), ((4, 2), "B")]
+
+
+@st.composite
+def qubit_side_cases(draw):
+    (na, nb), side = draw(st.sampled_from(QUBIT_SIDES))
+    rank = draw(st.integers(1, na * nb))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_bipartite(rng, na, nb, rank=rank), side
 
 
 class TestQubitSideClosedForm:
-    """On a measured qubit one Jacobi step reaches the global optimum, so the
-    one-sided search meets the closed form."""
+    """On a measured qubit, geo_discord_one_sided takes the closed form
+    tr(G) - G_00 - lambda_max(G[1:, 1:]) (Luo & Fu, PRA 82, 034302 (2010))
+    and runs no search."""
 
-    @given(st.integers(0, 2**32 - 1),
-           st.sampled_from([((2, 2), "A"), ((2, 3), "A"), ((2, 4), "A"), ((3, 2), "B")]))
-    @settings(max_examples=20, deadline=None)
-    def test_one_sided_meets_closed_form(self, seed, case):
-        (na, nb), side = case
-        rng = np.random.default_rng(seed)
-        state = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
+    @given(qubit_side_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_meets_the_search(self, case):
+        state, side = case
         got = td.geo_discord_one_sided(state, side, CFG).value
-        assert got == pytest.approx(_qubit_side_closed_form(state, side), abs=1e-10)
+        searched = search_bases(state, (side,), CFG, td.purity(state.rho), 0.0).value
+        assert got == pytest.approx(searched, abs=1e-10)
+
+    @given(qubit_side_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_runs_no_search_and_its_basis_attains_the_value(self, case):
+        state, side = case
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the qubit-side route ran a search")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "jacobi_search", no_search)
+            mp.setattr(optimize, "_start_points", no_search)
+            res = td.geo_discord_one_sided(state, side, CFG)
+        assert res.value == pytest.approx(
+            _one_sided_discord_at(state, res.optimal_measurement, side), abs=1e-12)
+        rep = res.optimizer_report
+        assert (rep.restarts_run, rep.iterations_total, rep.converged) == (0, 0, True)
+        assert rep.best_value == td.purity(state.rho) - res.value
+        np.testing.assert_array_equal(rep.best_params[0], res.optimal_measurement.vectors)
+        assert res.lower_bound == td.lower_bound_one_sided(td.correlation_matrix(state), side)
 
     def test_bell(self):
-        assert _qubit_side_closed_form(td.bell_state(), "A") == pytest.approx(0.5, abs=1e-15)
         for side in ("A", "B"):
-            assert td.geo_discord_one_sided(td.bell_state(), side, CFG).value == pytest.approx(
-                0.5, abs=1e-10)
+            res = td.geo_discord_one_sided(td.bell_state(), side, CFG)
+            assert res.value == pytest.approx(0.5, abs=1e-15)
+            assert res.optimizer_report.restarts_run == 0
+
+
+class TestQutritSideSearch:
+    """On a measured side of dimension 3 or more, geo_discord_one_sided runs
+    the one-sided Jacobi search from its warm starts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dims, side", [((3, 3), "A"), ((3, 3), "B"), ((2, 3), "B")])
+    def test_between_the_bound_and_every_warm_start(self, dims, side, seed):
+        rng = np.random.default_rng([seed, *dims])
+        state = random_bipartite(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1] + 1)))
+        res = td.geo_discord_one_sided(state, side, CFG)
+        assert res.optimizer_report.restarts_run == 2 + CFG.restarts
+        assert res.value >= td.lower_bound_one_sided(td.correlation_matrix(state), side) - 1e-8
+        n = dims[side == "B"]
+        eig = np.linalg.eigh(td.partial_trace(state, side).entries)[1]
+        for warm in (td.computational_basis(n), td.OrthonormalBasis(eig)):
+            assert res.value <= _one_sided_discord_at(state, warm, side) + 1e-12
 
 
 class TestLargerClosedFormSweeps:

@@ -641,13 +641,14 @@ class TestReducedBloch:
     def test_derivatives_match_central_differences(self):
         eps = 1e-5
         for b, a in self._cases():
-            grad, hess = _reduced_bloch_derivatives(b, a)
+            derivatives = _reduced_bloch_derivatives(b)
+            grad, hess = derivatives(a)
             for i in range(3):
                 e = eps * np.eye(3)[i]
                 fd = (_reduced_bloch(b, a + e)[0] - _reduced_bloch(b, a - e)[0]) / (2 * eps)
                 np.testing.assert_allclose(grad[:, i], fd, rtol=0, atol=1e-8)
-                g_p, _ = _reduced_bloch_derivatives(b, a + e)
-                g_m, _ = _reduced_bloch_derivatives(b, a - e)
+                g_p, _ = derivatives(a + e)
+                g_m, _ = derivatives(a - e)
                 np.testing.assert_allclose(hess[:, :, i], (g_p - g_m) / (2 * eps),
                                            rtol=0, atol=1e-6)
 
