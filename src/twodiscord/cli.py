@@ -11,6 +11,7 @@ lines prefixed "error:".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,7 +165,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="twodiscord",
         description="Entropic and geometric quantum discord of bipartite states",

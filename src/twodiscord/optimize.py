@@ -371,22 +371,13 @@ def _rotations(v):
     """cos theta, sin theta and e^{i phi} of the rotation that realizes each v.
 
     v is signed so that v_0 >= 0 (the objectives are even in v);
-    theta = arccos(v_0) / 2 and phi = atan2(v_2, v_1). The rotation takes
-    basis vector j to c u_j + e^{i phi} s u_k and k to
-    -e^{-i phi} s u_j + c u_k (``_rotate_columns`` with mult_j = e^{i phi},
-    mult_k = -e^{-i phi}).
+    theta = arccos(v_0) / 2 and phi = atan2(v_2, v_1). The unitary rotation
+    that ``_jacobi_step`` applies takes basis vector j to
+    c u_j + e^{i phi} s u_k and k to -e^{-i phi} s u_j + c u_k.
     """
     v = np.where(v[..., :1] < 0, -v, v)
     theta = 0.5 * np.arccos(np.clip(v[..., 0], -1.0, 1.0))
     return np.cos(theta), np.sin(theta), np.exp(1j * np.arctan2(v[..., 2], v[..., 1]))
-
-
-def _rotate_columns(uj, uk, c, s, mult_j, mult_k):
-    """Columns j and k of a basis after a rotation in their plane: column j
-    becomes c u_j + mult_j s u_k and column k becomes mult_k s u_j + c u_k.
-    ``_jacobi_step`` takes (mult_j, mult_k) = (e^{i phi}, -e^{-i phi}) from
-    ``_rotations``, which makes the rotation unitary."""
-    return c * uj + mult_j * s * uk, mult_k * s * uj + c * uk
 
 
 def _jacobi_step(u, view, j, k, two_sided, solve):
@@ -395,7 +386,8 @@ def _jacobi_step(u, view, j, k, two_sided, solve):
     ``_plane_data``."""
     v = solve(*_plane_data(view, j, k, two_sided)).reshape(len(j), len(u), 3)
     c, s, ph = (x.T[:, None] for x in _rotations(v))
-    u[:, :, j], u[:, :, k] = _rotate_columns(u[:, :, j], u[:, :, k], c, s, ph, -ph.conj())
+    uj, uk = u[:, :, j], u[:, :, k]
+    u[:, :, j], u[:, :, k] = c * uj + ph * s * uk, -ph.conj() * s * uj + c * uk
 
 
 def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),

@@ -87,6 +87,18 @@ class TestCompute:
         rec = json.loads(capsys.readouterr().out)
         assert rec["entropic_two_sided"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_one_parser_carries_no_option_into_the_next_call(self, bell_file, capsys):
+        # main parses every call with the same parser; an --entropic report
+        # leaves no entropic keys in the plain report that follows it
+        assert main(["compute", bell_file, "--entropic", "--format", "json", *FAST]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["compute", bell_file, "--format", "json", *FAST]) == 0
+        second = json.loads(capsys.readouterr().out)
+        entropic = {k for k in first if k.startswith("entropic_")}
+        assert len(entropic) == 3
+        assert not entropic & set(second)
+        assert cli.make_parser() is cli.make_parser()
+
     def test_maximally_mixed(self, tmp_path, capsys):
         path = tmp_path / "mm.json"
         save_state(path, td.make_bipartite(np.eye(4) / 4, 2, 2))

@@ -17,16 +17,11 @@ from twodiscord.verification import (
     random_zero_marginal_two_qubit,
 )
 
+from exact_reference import shannon_oracle
 from grid_reference import sphere_grid
 from koashi_winter_reference import koashi_winter_bound
 
 CFG = OptimizerConfig(restarts=16, seed=0)
-
-
-def shannon_oracle(probs):
-    probs = np.asarray(probs, dtype=float)
-    probs = probs[probs > 1e-14]
-    return float(-np.sum(probs * np.log2(probs)))
 
 
 def test_plogp_is_the_where_form_bit_for_bit():

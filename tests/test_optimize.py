@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +11,10 @@ import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord import optimize
 from twodiscord import entropic
-from twodiscord.entropic import RETAINED_INFORMATION, shannon_bits
-from twodiscord.measurement import _basis_unchecked, haar_unitary
+from twodiscord.entropic import RETAINED_INFORMATION, entropy_of_spectra, shannon_bits
+from twodiscord.measurement import haar_unitary
 from twodiscord.optimize import (
+    RETAINED_PURITY,
     _alternating_detail,
     _cell_bound,
     _dephased,
@@ -25,6 +25,7 @@ from twodiscord.optimize import (
     _purity_plane,
     _reduced_bloch,
     _reduced_bloch_derivatives,
+    _retained_purities,
     _rotations,
     _round_robin,
     _row_bounds,
@@ -34,18 +35,17 @@ from twodiscord.optimize import (
     rotated_states,
     warm_start_bases,
 )
-from twodiscord.verification import random_basis, random_bipartite
+from twodiscord.states import FAMILY_DOMAINS
+from twodiscord.verification import CLOSED_FORMS, random_basis, random_bipartite, random_density
 
-from compass_reference import (
-    TablePolls,
-    _compass_information,
-    _givens_planes,
-    _givens_poll,
-    _one_sided_information,
-    _plane_rows,
-    _side_blocks,
-    compass_search,
-    maximize_over_bases,
+from exact_reference import (
+    classical_quantum,
+    classical_quantum_geometric_discord,
+    family_entropic_discord,
+    in_random_frames,
+    pure_entropic_discord,
+    pure_geometric_discord,
+    pure_state,
 )
 from grid_reference import sphere_grid
 
@@ -69,42 +69,18 @@ class TestConfig:
         assert res.restarts_run == 3
 
 
-class TestMaximizeOverBases:
-    def test_constant_objective(self):
-        res = maximize_over_bases(
-            lambda ua, ub: np.full(ua.shape[0], 3.25), (2, 3),
-            OptimizerConfig(restarts=4, seed=0),
-        )
-        assert res.best_value == 3.25
-        assert res.converged
-
-    def test_reaches_target_basis(self):
-        # sum_o |<v_o|u_o>|^2 is n exactly when each u_o is v_o up to a phase
-        target = haar_unitary(np.random.default_rng(9), 3)
-
-        def batch(u):
-            return np.sum(np.abs(np.einsum("ao,nao->no", target.conj(), u)) ** 2, axis=1)
-
-        res = maximize_over_bases(batch, (3,), OptimizerConfig(restarts=8, seed=0))
-        assert res.best_value == pytest.approx(3.0, abs=1e-10)
-        (u,) = res.best_params
-        np.testing.assert_allclose(np.abs(target.conj().T @ u), np.eye(3), atol=1e-5)
-
-
 class TestLockstep:
-    def test_both_engines_stop_at_the_iteration_cap(self, monkeypatch):
-        # every start of the Jacobi searches and of the compass reference,
-        # which shares their lockstep loop, runs to the cap, so each reports
-        # cap x starts iterations and a winner that did not converge; the
-        # entropic Jacobi searches count sweeps against the same cap
+    def test_jacobi_searches_stop_at_the_iteration_cap(self, monkeypatch):
+        # every start of the geometric and entropic Jacobi searches, two- and
+        # one-sided, runs to the cap, so each reports cap x starts sweeps and
+        # a winner that did not converge
         monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
         r = random_bipartite(np.random.default_rng([7, 3, 3]), 3, 3).reshaped()
         cfg = OptimizerConfig(restarts=8, seed=1)
-        for res in (jacobi_search(r, ("A", "B"), cfg),
-                    compass_search(TablePolls(r, optimize._retained_purities), (3, 3), cfg),
-                    *(jacobi_search(r, sides, cfg, objective=RETAINED_INFORMATION)
-                      for sides in (("A", "B"), ("A",), ("B",)))):
-            assert (res.iterations_total, res.restarts_run, res.converged) == (16, 8, False)
+        for objective in (RETAINED_PURITY, RETAINED_INFORMATION):
+            for sides in (("A", "B"), ("A",), ("B",)):
+                res = jacobi_search(r, sides, cfg, objective=objective)
+                assert (res.iterations_total, res.restarts_run, res.converged) == (16, 8, False)
 
     @pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
     def test_one_dimensional_measured_side_rejected(self, dims):
@@ -134,21 +110,6 @@ class TestLockstep:
                     extra_warm_starts=[td.computational_basis(4)])
 
 
-class TestPatternSearch:
-    def test_deterministic_given_seed(self):
-        # the compass search over unitaries is a pure function of its seed:
-        # same value and same bases, bit for bit
-        def batch(ua, ub):
-            return (np.sin(ua.real).sum(axis=(1, 2)) + np.cos(ub.imag).sum(axis=(1, 2)))
-
-        cfg = OptimizerConfig(restarts=6, seed=3)
-        r1 = maximize_over_bases(batch, (2, 3), cfg)
-        r2 = maximize_over_bases(batch, (2, 3), cfg)
-        assert r1.best_value == r2.best_value
-        for u1, u2 in zip(r1.best_params, r2.best_params, strict=True):
-            assert np.array_equal(u1, u2)
-
-
 class TestHaarUnitary:
     def test_unitary_and_reproducible(self):
         for n in (2, 3, 4):
@@ -166,92 +127,16 @@ class TestHaarUnitary:
                 assert np.array_equal(points[q][r], haar_unitary(rng, n))
 
 
-class TestGivensPolls:
-    DIMS = (3, 2)
+def _side_blocks(r, u, side):
+    """Blocks <o|rho|o> on the measured side for each basis in an (N, n, n) stack.
 
-    def _poll(self, step):
-        rng = np.random.default_rng(5)
-        bases = [haar_unitary(rng, n)[None] for n in self.DIMS]
-        planes = _givens_planes(self.DIMS)
-        return bases, planes, _givens_poll(bases, np.array([step]), planes)
-
-    def test_direction_count(self):
-        _, planes, cand = self._poll(0.3)
-        ndir = sum(2 * n * (n - 1) for n in self.DIMS)
-        assert all(len(a) == ndir for a in planes)
-        assert [c.shape for c in cand] == [(ndir, n, n) for n in self.DIMS]
-
-    def test_candidates_unitary_and_move_two_columns(self):
-        bases, (side, j, k, *_), cand = self._poll(0.3)
-        for d in range(len(side)):
-            for q, n in enumerate(self.DIMS):
-                u = cand[q][d]
-                np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
-                moved = np.nonzero(np.any(u != bases[q][0], axis=0))[0]
-                assert moved.tolist() == ([j[d], k[d]] if side[d] == q else [])
-
-    def test_candidate_is_base_times_generator_exponential(self):
-        step = 0.7
-        bases, (side, j, k, mult_j, _, sign), cand = self._poll(step)
-        for d in range(len(side)):
-            q, n = side[d], self.DIMS[side[d]]
-            gen = np.zeros((n, n), dtype=complex)
-            if mult_j[d] == -1:
-                gen[j[d], k[d]], gen[k[d], j[d]] = 1.0, -1.0
-            else:
-                gen[j[d], k[d]] = gen[k[d], j[d]] = 1j
-            want = bases[q][0] @ scipy.linalg.expm(sign[d] * step * gen)
-            np.testing.assert_allclose(cand[q][d], want, atol=1e-14)
-
-
-def _full_contraction_tables(r, ua, ub):
-    """p[n, alpha, beta] for each candidate pair, contracted from scratch."""
-    p = np.einsum("nap,nbq,abcd,ncp,ndq->npq", ua.conj(), ub.conj(), r, ua, ub,
-                  optimize=True).real
-    return np.where(p < 0, 0.0, p)
-
-
-class TestTablePolls:
-    """Two-row table updates agree with contracting every candidate in full."""
-
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("step", [0.25, 1e-3])
-    def test_tables_match_candidate_distributions(self, dims, step):
-        rng = np.random.default_rng([17, *dims])
-        state = random_bipartite(rng, *dims)
-        restarts = 3
-        points = [np.array([haar_unitary(rng, n) for _ in range(restarts)]) for n in dims]
-        planes = _givens_planes(dims)
-        steps = np.full(restarts, step)
-        tables = TablePolls(state.reshaped(), None).tables(points, steps, planes)
-        ua, ub = _givens_poll(points, steps, planes)
-        assert tables.shape == (restarts, len(planes[0]), *dims)
-        for got, a, b in zip(tables.reshape(-1, *dims), ua, ub, strict=True):
-            m = td.ProductMeasurement(_basis_unchecked(a), _basis_unchecked(b))
-            np.testing.assert_allclose(got, td.diagonal_distribution(state, m), rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_two_sided_searches_match_candidate_route(self, seed):
-        state = td.random_state(2, 3, rank=int(seed + 2), seed=seed)
-        r = state.reshaped()
-        cfg = OptimizerConfig(restarts=8, seed=seed)
-        warm = warm_start_bases(state, ("A", "B"))
-
-        def purity_batch(ua, ub):
-            p = _full_contraction_tables(r, ua, ub)
-            return np.sum(p * p, axis=(1, 2))
-
-        def information_batch(ua, ub):
-            p = _full_contraction_tables(r, ua, ub)
-            return (shannon_bits(p.sum(axis=2), axis=-1) + shannon_bits(p.sum(axis=1), axis=-1)
-                    - shannon_bits(p.reshape(len(p), -1), axis=-1))
-
-        geo = maximize_over_bases(purity_batch, (2, 3), cfg, warm)
-        want = td.purity(state.rho) - geo.best_value
-        assert td.geo_discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
-        ent = maximize_over_bases(information_batch, (2, 3), cfg, warm)
-        want = td.mutual_information(state) - ent.best_value
-        assert td.discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
+    Side A gives (N, na, nb, nb) blocks, side B gives (N, nb, na, na).
+    """
+    n, d = u.shape[0], u.shape[1]
+    rows = np.einsum("nao,nco->noac", u.conj(), u).reshape(n * d, d * d)
+    rm = r.transpose(0, 2, 1, 3) if side == "A" else r.transpose(1, 3, 0, 2)
+    m = rm.shape[2]
+    return (rows @ rm.reshape(d * d, m * m)).reshape(n, d, m, m)
 
 
 def _one_sided_purity(r, u, side):
@@ -276,12 +161,40 @@ def _gram(view, j, k, two_sided):
     return np.einsum("nak,nbk->nab", g, g.conj()).real
 
 
+def _two_sided_purity(r, points):
+    """The retained purity of r in each pair of bases of (N, na, na) and (N, nb, nb) stacks."""
+    return _retained_purities(_dephased(rotated_states(r, *points), ("A", "B")))
+
+
+def _measured_in(r, u, side):
+    """r in each basis of an (N, n, n) stack on the measured ``side``, the
+    other side in its computational basis (``rotated_states``)."""
+    m = r.shape[1] if side == "A" else r.shape[0]
+    eye = np.broadcast_to(np.eye(m, dtype=complex), (len(u), m, m))
+    return rotated_states(r, *((u, eye) if side == "A" else (eye, u)))
+
+
+def _in_plane(u, j, k, v):
+    """Each basis of an (R, n, n) stack with vectors j and k rotated by the
+    rotation of each unit 3-vector in the (V, 3) stack v (``_rotations``):
+    an (R * V, n, n) stack, restart-major."""
+    c, s, ph = (x[:, None] for x in _rotations(v))
+    out = np.repeat(u[:, None], len(v), axis=1)
+    uj, uk = u[:, None, :, j], u[:, None, :, k]
+    out[..., j] = c * uj + ph * s * uk
+    out[..., k] = -ph.conj() * s * uj + c * uk
+    return out.reshape(-1, *u.shape[1:])
+
+
 class TestJacobiStep:
     """A Jacobi step takes the best rotation of its plane, in closed form: the
     purity after it is the base value plus 2 (lambda_max(G) - G_00), and no
-    compass poll in the same plane scores higher."""
+    rotation of the plane, sampled densely, scores higher."""
 
     RESTARTS = 3
+    # 400 directions v, each the rotation of one plane that _rotations realizes
+    SAMPLES = np.random.default_rng(53).standard_normal((400, 3))
+    SAMPLES /= np.linalg.norm(SAMPLES, axis=1, keepdims=True)
 
     def _setup(self, dims):
         rng = np.random.default_rng([29, *dims])
@@ -290,59 +203,41 @@ class TestJacobiStep:
         return state.reshaped(), points
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
-    def test_two_sided_step_is_exact_and_beats_polls(self, dims):
+    def test_two_sided_step_is_exact_and_best_in_its_plane(self, dims):
         r, points = self._setup(dims)
-        scorer = TablePolls(r, optimize._retained_purities)
-        base = scorer.values(points)
+        base = _two_sided_purity(r, points)
         rt = rotated_states(r, *points)
-        p = np.einsum("rabab->rab", rt).real
-        planes = _givens_planes(dims)
-        polls = {step: scorer.poll(points, np.full(self.RESTARTS, step), planes)
-                 for step in (0.25, 1e-3)}
         for q, side in enumerate("AB"):
-            # the table and blocks with the measured side first, as TablePolls.tables takes them
-            pq, g = ((p, np.einsum("rabcb->racb", rt)) if side == "A"
-                     else (p.transpose(0, 2, 1), np.einsum("rabad->rbda", rt)))
             for j, k in itertools.combinations(range(dims[q]), 2):
                 jj, kk = np.array([j]), np.array([k])
                 gram = _gram(_measured_first(rt, side), jj, kk, True)
                 want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
-                c, s, ph = _rotations(np.linalg.eigh(gram)[1][:, :, -1])
-                for i in range(self.RESTARTS):
-                    rows = _plane_rows(pq[i:i + 1], g[i:i + 1], c[i:i + 1, None],
-                                       s[i:i + 1, None], jj, kk, ph[i:i + 1], -ph[i:i + 1].conj())
-                    assert np.sum(rows ** 2) == pytest.approx(want[i], abs=1e-13)
                 moved = [u.copy() for u in points]
                 _jacobi_step(moved[q], _measured_first(rt, side), jj, kk, True, _purity_plane)
-                np.testing.assert_allclose(scorer.values(moved), want, rtol=0, atol=1e-13)
-                in_plane = (planes[0] == q) & (planes[1] == j) & (planes[2] == k)
-                assert in_plane.sum() == 4
-                for vals in polls.values():
-                    assert np.all(vals[:, in_plane].max(axis=1) <= want + 1e-13)
+                np.testing.assert_allclose(_two_sided_purity(r, moved), want, rtol=0, atol=1e-13)
+                dense = [np.repeat(u, len(self.SAMPLES), axis=0) for u in points]
+                dense[q] = _in_plane(points[q], j, k, self.SAMPLES)
+                vals = _two_sided_purity(r, dense).reshape(self.RESTARTS, -1)
+                assert np.all(vals.max(axis=1) <= want + 1e-13)
 
     @pytest.mark.parametrize("dims,side", [((2, 3), "A"), ((2, 3), "B"), ((3, 2), "A"),
                                            ((3, 3), "A"), ((3, 3), "B")])
-    def test_one_sided_step_is_exact_and_beats_polls(self, dims, side):
+    def test_one_sided_step_is_exact_and_best_in_its_plane(self, dims, side):
         r, points = self._setup(dims)
         q = "AB".index(side)
-        u, n, m = points[q], dims[q], dims[1 - q]
-        eye = np.broadcast_to(np.eye(m, dtype=complex), (self.RESTARTS, m, m))
-        rt = rotated_states(r, *((u, eye) if side == "A" else (eye, u)))
+        u = points[q]
+        rt = _measured_in(r, u, side)
         base = _one_sided_purity(r, u, side)
-        planes = _givens_planes((n,))
-        cands = {step: _givens_poll([u], np.full(self.RESTARTS, step), planes)[0]
-                 for step in (0.25, 1e-3)}
-        for j, k in itertools.combinations(range(n), 2):
+        for j, k in itertools.combinations(range(dims[q]), 2):
             jj, kk = np.array([j]), np.array([k])
             gram = _gram(_measured_first(rt, side), jj, kk, False)
             want = base + 2.0 * (np.linalg.eigvalsh(gram)[:, -1] - gram[:, 0, 0])
             moved = u.copy()
             _jacobi_step(moved, _measured_first(rt, side), jj, kk, False, _purity_plane)
             np.testing.assert_allclose(_one_sided_purity(r, moved, side), want, rtol=0, atol=1e-13)
-            in_plane = (planes[1] == j) & (planes[2] == k)
-            for cand in cands.values():
-                vals = _one_sided_purity(r, cand, side).reshape(self.RESTARTS, -1)
-                assert np.all(vals[:, in_plane].max(axis=1) <= want + 1e-13)
+            dense = _measured_in(r, _in_plane(u, j, k, self.SAMPLES), side)
+            vals = _retained_purities(_dephased(dense, (side,)))
+            assert np.all(vals.reshape(self.RESTARTS, -1).max(axis=1) <= want + 1e-13)
 
 
 class TestJacobiSearch:
@@ -359,6 +254,36 @@ class TestJacobiSearch:
         assert res.converged
         for u, want in zip(res.best_params, identity, strict=True):
             np.testing.assert_array_equal(u, want)
+
+    @pytest.mark.parametrize("sides", [("A", "B"), ("A",), ("B",)])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_constant_objective_converges_every_start(self, dims, sides):
+        # every basis retains purity 1/d of the maximally mixed state, so
+        # every start stops converged after its first sweep
+        d = dims[0] * dims[1]
+        r = td.make_bipartite(np.eye(d) / d, *dims).reshaped()
+        res = jacobi_search(r, sides, OptimizerConfig(restarts=4, seed=0))
+        assert res.best_value == pytest.approx(1.0 / d, abs=1e-15)
+        assert res.converged
+        assert res.iterations_total == res.restarts_run == 4
+
+    @pytest.mark.parametrize("sides", [("A", "B"), ("A",), ("B",)])
+    def test_reaches_a_classical_classical_optimum(self, sides):
+        # a classical-classical state in Haar bases keeps its whole purity
+        # sum p^2 only in its own bases, up to phases and a permutation; with
+        # no warm start the random starts must find them
+        rng = np.random.default_rng(9)
+        p = rng.dirichlet(np.ones(6)).reshape(2, 3)
+        bases = {"A": random_basis(rng, 2), "B": random_basis(rng, 3)}
+        r = td.classical_classical(p, bases["A"], bases["B"]).reshaped()
+        res = jacobi_search(r, sides, OptimizerConfig(restarts=8, seed=0))
+        assert res.best_value == pytest.approx(np.sum(p * p), abs=1e-10)
+        for side, u in zip(sides, res.best_params, strict=True):
+            overlap = np.abs(bases[side].vectors.conj().T @ u)
+            perm = np.round(overlap)
+            np.testing.assert_array_equal(perm.sum(axis=0), 1.0)
+            np.testing.assert_array_equal(perm.sum(axis=1), 1.0)
+            np.testing.assert_allclose(overlap, perm, rtol=0, atol=1e-5)
 
     def test_two_sided_search_deterministic_given_seed(self):
         # the two-sided and both one-sided geometric searches repeat bit for bit
@@ -409,19 +334,16 @@ class TestJacobiSearch:
             assert np.array_equal(basis.vectors, u)
 
 
-class TestJacobiAgainstCompass:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
-    def test_never_above_compass_reference(self, dims):
-        # the Jacobi discord never exceeds the compass search's from the same
-        # starts; the compass scores the same purity through TablePolls
-        for seed in range({(2, 2): 16, (2, 3): 14, (3, 3): 10}[dims]):
-            state = random_bipartite(np.random.default_rng([31, seed, *dims]), *dims)
-            r = state.reshaped()
+class TestTwoQubitSearch:
+    def test_meets_the_bloch_route(self):
+        # on 2x2 the Jacobi search and the alternation of two_qubit_geo, an
+        # independent route through the Bloch form, reach the same value
+        for seed in range(16):
+            rng = np.random.default_rng([31, seed, 2, 2])
+            state = random_bipartite(rng, 2, 2, rank=seed % 4 + 1)
             cfg = OptimizerConfig(restarts=16, seed=seed)
-            warm = warm_start_bases(state, ("A", "B"))
-            jac = jacobi_search(r, ("A", "B"), cfg, warm)
-            ref = compass_search(TablePolls(r, optimize._retained_purities), dims, cfg, warm)
-            assert jac.best_value >= ref.best_value - 1e-10
+            want = td.two_qubit_geo(td.to_bloch(state), cfg).value
+            assert td.geo_discord_two_sided(state, cfg).value == pytest.approx(want, abs=1e-10)
 
 
 class TestEntropicPlaneSolve:
@@ -489,22 +411,145 @@ class TestEntropicPlaneSolve:
                                        gain, rtol=0, atol=1e-12)
 
 
-class TestEntropicAgainstCompass:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    def test_never_above_compass_reference(self, dims):
-        # from the same starts, the entropic Jacobi searches (two-sided, and
-        # one-sided on alternating sides) retain at least the compass
-        # search's information; 40 states over the four shapes
-        for seed in range(10):
-            rng = np.random.default_rng([43, seed, *dims])
-            state = random_bipartite(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1] + 1)))
-            r = state.reshaped()
-            cfg = OptimizerConfig(restarts=4, seed=seed)
-            for sides in (("A", "B"), ("AB"[seed % 2],)):
-                warm = warm_start_bases(state, sides)
-                jac = jacobi_search(r, sides, cfg, warm, RETAINED_INFORMATION)
-                ref = _compass_information(state, sides, cfg, warm)
-                assert jac.best_value >= ref.best_value - 1e-10
+# ---------------------------------------------------------------------------
+# exact references (exact_reference): every search, in seeded and drawn local frames
+
+REFERENCE_CFG = OptimizerConfig(restarts=16, seed=0)
+FAMILIES = [(family, m) for family in ("werner", "isotropic") for m in range(2, 7)]
+PURE_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
+CQ_SHAPES = [(n, m, quantum) for n, m in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+             for quantum in "AB"]
+
+
+def _entropic_searches(state, cfg):
+    return (td.discord_two_sided(state, cfg), td.discord_one_sided(state, "A", cfg),
+            td.discord_one_sided(state, "B", cfg))
+
+
+def _geometric_searches(state, cfg):
+    return (td.geo_discord_two_sided(state, cfg), td.geo_discord_one_sided(state, "A", cfg),
+            td.geo_discord_one_sided(state, "B", cfg))
+
+
+class TestFamilyReferences:
+    """Werner and isotropic states: all three entropic searches meet
+    log2 m + H(c) - S(rho), and the two-sided geometric search meets the
+    family's closed form. In local frames no warm start is optimal."""
+
+    @staticmethod
+    def _check(family, m, x, rng):
+        make, geo_closed = CLOSED_FORMS[family]
+        state = in_random_frames(make(m, x), rng)
+        want = family_entropic_discord(family, m, x)
+        for got in _entropic_searches(state, REFERENCE_CFG):
+            assert got.value == pytest.approx(want, abs=1e-10)
+        got = td.geo_discord_two_sided(state, REFERENCE_CFG)
+        assert got.value == pytest.approx(geo_closed(m, x), abs=1e-10)
+
+    @pytest.mark.parametrize("family,m", FAMILIES)
+    def test_searches_meet_the_closed_forms(self, family, m):
+        rng = np.random.default_rng([47, m, family == "werner"])
+        for x in rng.uniform(*FAMILY_DOMAINS[family], 3):
+            self._check(family, m, x, rng)
+
+    @given(st.sampled_from(FAMILIES), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_states_meet_the_closed_forms(self, family_m, t, seed):
+        family, m = family_m
+        lo, hi = FAMILY_DOMAINS[family]
+        self._check(family, m, lo + t * (hi - lo), np.random.default_rng(seed))
+
+
+class TestPureStateReferences:
+    """Pure states: every entropic search meets S(rho_A) and every geometric
+    search 1 - sum lambda^2, lambda the Schmidt coefficients. The marginals'
+    eigenbases are the Schmidt bases, so a warm start is optimal unless
+    lambda has ties. Random starts crawl for hundreds of sweeps here, hence
+    only two."""
+
+    CFG = OptimizerConfig(restarts=2, seed=0)
+    REFERENCES = {"entropic": (_entropic_searches, pure_entropic_discord),
+                  "geometric": (_geometric_searches, pure_geometric_discord)}
+
+    def _check(self, dims, schmidt, rng, kinds=("entropic", "geometric")):
+        state = pure_state(schmidt, haar_unitary(rng, dims[0]), haar_unitary(rng, dims[1]))
+        for kind in kinds:
+            searches, reference = self.REFERENCES[kind]
+            for got in searches(state, self.CFG):
+                assert got.value == pytest.approx(reference(schmidt), abs=1e-10)
+
+    @pytest.mark.parametrize("dims", PURE_DIMS)
+    def test_searches_meet_the_closed_forms(self, dims):
+        rng = np.random.default_rng([59, *dims])
+        self._check(dims, rng.dirichlet(np.ones(min(dims))), rng)
+
+    @given(st.sampled_from(PURE_DIMS[:5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_drawn_states_meet_the_closed_forms(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        self._check(dims, rng.dirichlet(np.ones(min(dims))), rng)
+
+    @given(st.sampled_from(PURE_DIMS), st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_tied_coefficients_meet_the_geometric_closed_form(self, dims, weights, seed):
+        # small integer weights draw ties, whose marginal eigenbases are
+        # arbitrary within the tied block, and zeros
+        w = np.array(weights[:min(dims)], dtype=float)
+        w[0] += w.sum() == 0
+        self._check(dims, w / w.sum(), np.random.default_rng(seed), ("geometric",))
+
+    @pytest.mark.xfail(strict=True, reason="the two-sided entropic search stalls short of "
+                                           "the optimum on tied Schmidt coefficients")
+    def test_tied_coefficients_meet_the_entropic_closed_form(self):
+        # (0, 1/2, 1/2) at 3x3: the winner stops converged 2.9e-5 bits above
+        # S(rho_A) = 1, at 2 restarts as at 64
+        self._check((3, 3), np.array([0.0, 0.5, 0.5]), np.random.default_rng(1), ("entropic",))
+
+
+class TestClassicalQuantumReferences:
+    """sum_i p_i |a_i><a_i| x rho_i: both one-sided discords of the
+    classical side are 0, and with a qubit quantum side the two-sided
+    geometric search and the qubit side's one-sided discord meet
+    (tr M - lambda_max(M))/2. Uniform p leaves the classical marginal
+    maximally mixed, so its eigenbasis warm start is arbitrary."""
+
+    @staticmethod
+    def _check(n, m, quantum, rng, p):
+        states = np.array([random_density(rng, m).entries for _ in range(n)])
+        state = in_random_frames(classical_quantum(p, haar_unitary(rng, n), states, quantum), rng)
+        classical = "AB"["AB".index(quantum) - 1]
+        for got in (td.discord_one_sided(state, classical, REFERENCE_CFG),
+                    td.geo_discord_one_sided(state, classical, REFERENCE_CFG)):
+            assert got.value == pytest.approx(0.0, abs=1e-10)
+        if m == 2:
+            want = classical_quantum_geometric_discord(p, states)
+            for got in (td.geo_discord_two_sided(state, REFERENCE_CFG),
+                        td.geo_discord_one_sided(state, quantum, REFERENCE_CFG)):
+                assert got.value == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("n,m,quantum", CQ_SHAPES)
+    def test_searches_meet_the_closed_forms(self, n, m, quantum):
+        rng = np.random.default_rng([61, n, m, quantum == "A"])
+        for p in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))):
+            self._check(n, m, quantum, rng, p)
+
+    @given(st.sampled_from(CQ_SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_states_meet_the_closed_forms(self, shape, uniform, seed):
+        n = shape[0]
+        rng = np.random.default_rng(seed)
+        self._check(*shape, rng, np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n)))
+
+
+def _one_sided_information(r, u, side):
+    """H(p) - sum_o S(<o|rho|o>) for each basis in an (N, n, n) stack, p_o the
+    blocks' traces: the one-sided entropic objective, from the blocks alone."""
+    blocks = _side_blocks(r, u, side)
+    nn, n, k = blocks.shape[:3]
+    s_joint = entropy_of_spectra(np.linalg.eigvalsh(blocks).reshape(nn, n * k))
+    p_marg = np.einsum("nokk->no", blocks).real
+    return shannon_bits(np.where(p_marg < 0, 0.0, p_marg), axis=-1) - s_joint
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
@@ -531,8 +576,7 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(seed)
         na, nb = dims
         state = random_bipartite(rng, na, nb, rank=int(rng.integers(1, na * nb + 1)))
-        w = np.kron(haar_unitary(rng, na), haar_unitary(rng, nb))
-        moved = td.make_bipartite(w @ state.entries @ w.conj().T, na, nb)
+        moved = in_random_frames(state, rng)
         cfg = OptimizerConfig(restarts=16, seed=0)
         searches = [
             td.geo_discord_two_sided,
