@@ -140,14 +140,18 @@ def random_zero_marginal_two_qubit(rng) -> BipartiteState:
 # ---------------------------------------------------------------------------
 # independent oracles
 
-# tangent lines of the convexity row bound; even, so that the polygon they
-# bound keeps |zeta_s| <= |w_s| (see ``_convexity_rows``)
-_ROW_BOUND_LINES = 8
+# line counts of the convexity row bound, coarse to fine: the first bounds
+# every row, the others re-bound the rows that still reach the incumbent. Each
+# is even, so that the polygon keeps |zeta_s| <= |w_s| (see ``_convexity_rows``)
+_ROW_BOUND_LINES = (8, 32, 128)
+# the finer bounds are computed this many rows at a time
+_ROW_BLOCK = 64
 
 
-def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
+def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray, lines: int) -> np.ndarray:
     """An upper bound U(a) on every grid value of the retained information
-    in the row of each A direction a in ``pts``.
+    in the row of each A direction a in ``pts``, from a polygon of ``lines``
+    tangent lines.
 
     In row a, outcome s = +-1 of A has probability p_s = (1 + s a.x) / 2,
     and measuring B along b gives the table p(s, t) = (p_s + t zeta_s) / 2,
@@ -157,16 +161,17 @@ def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray) -> np.ndarray:
     ranges over the unit sphere, zeta stays in the ellipse with support
     function h(d) = sqrt(d^t G d), G the Gram matrix of w_+ and w_-. The
     tangent lines d_k . zeta = h(d_k), d_k at the angles k pi / K with
-    K = ``_ROW_BOUND_LINES``, bound a polygon around the ellipse, and a
-    convex function peaks at a vertex: U(a) is the largest vertex value.
-    K is even, so +-e_1 and +-e_2 are among the d_k and every vertex keeps
+    K = ``lines``, bound a polygon around the ellipse, and a convex
+    function peaks at a vertex: U(a) is the largest vertex value. K must be
+    even, so +-e_1 and +-e_2 are among the d_k and every vertex keeps
     |zeta_s| <= |w_s| <= p_s, a valid table. Antipodal vertices only
     relabel t, so the K vertices of consecutive lines k, k + 1 (k < K)
     suffice. Vertex values follow the grid's floor rules: entries clipped
-    at 0, and p log p by ``plogp``. At K = 8 a pure state
-    leaves about one chunk of rows to score.
+    at 0, and p log p by ``plogp``. A finer polygon gives a lower bound:
+    on nearly-product pure states the 8-line bound keeps most rows within
+    reach of the grid's best, and the 128-line bound only a few.
     """
-    k = _ROW_BOUND_LINES
+    k = lines
     ang = np.arange(k + 1) * (np.pi / k)
     c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
     # row i is (a.x, a.Ty, a^T T) for a = pts[i]
@@ -202,15 +207,25 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     only permutes the table, so both range over ``projective_grid``. The
     marginal entropies depend on one direction each and are computed once
     per direction; the joint entropy is accumulated in preallocated buffers
-    for the 4 best-bounded rows (A directions), then 32 rows at a time.
+    for 4 rows (A directions) or 32 rows at a time.
 
     The maximum is exact branch-and-bound: no grid value in row a exceeds
-    the convexity bound U(a) of ``_convexity_rows``, so the rows are visited
-    in decreasing bound and the scan stops at the first row whose bound
-    plus 1e-9 is below the best value. The 1e-14 floors move a grid value or a
-    bound by less than 3e-12, so that slack keeps every row that could hold
-    the maximum. A row's rounding depends on the chunk it is scored in, so
-    the order of the rows can move the result in its last bits.
+    the convexity bound U(a) of ``_convexity_rows``, and a row is scored
+    only while its bound plus 1e-9 reaches the best value. The 8-line
+    bound of every row orders them; the 4 best-bounded rows, then the
+    next 32, set the incumbent. While more than 32 rows still reach it,
+    those survivors are re-bounded by the next polygon of
+    ``_ROW_BOUND_LINES`` (32 lines, then 128), ``_ROW_BLOCK`` rows at a
+    time so the vertex tables stay small, re-ordered by the finer bound,
+    and their 4 best rows scored before the rest are pruned. Refining stops
+    once a level fails to halve the survivors, as where the row maxima
+    are flat (the Bell state, Werner and isotropic states), so no row is
+    bounded more than twice there. The rest are scored 32 at a time in
+    decreasing bound until a chunk's first bound falls short. The 1e-14
+    floors move a grid value or a bound by less than 3e-12, so that slack
+    keeps every row that could hold the maximum. A row's rounding depends
+    on the chunk it is scored in, so the order of the rows can move the
+    result in its last bits.
     """
     pts = projective_grid(resolution)
     b = to_bloch(state)
@@ -222,30 +237,55 @@ def entropic_oracle_two_qubit(state: BipartiteState, resolution: int = 32) -> fl
     marginals = np.clip(2.0 * qa, 0.0, None), np.clip(0.5 + 2.0 * qb, 0.0, None)
     h_a, h_b = (shannon_bits(q, axis=0) for q in marginals)
     t_rows = b.t @ pts.T
-    bound = _convexity_rows(b, pts)
-    order = np.argsort(-bound, kind="stable")
     chunk = 32
     m, p, term, retained = (np.empty((chunk, n)) for _ in range(4))
-    best = -np.inf
-    for lo in [0, *range(4, n, chunk)]:
-        rows = order[lo:lo + chunk if lo else 4]
-        # rows whose bound can still reach the incumbent: a prefix, as the bound decreases
-        c = int(np.count_nonzero(bound[rows] + 1e-9 >= best))
-        if not c:
-            break
-        rows = rows[:c]
+
+    def score(rows):
+        # the largest retained information H(A) + H(B) - H(A, B) in rows,
+        # with H(A, B) subtracted term by term as + p log p (``plogp``)
+        c = len(rows)
         mc, pc, tc, rc = m[:c], p[:c], term[:c], retained[:c]
         np.matmul(pts[rows], t_rows, out=mc)
         mc *= 0.25
-        # retained information H(A) + H(B) - H(A, B), with H(A, B) subtracted
-        # term by term as + p log p (``plogp``)
         np.add(h_a[rows, None], h_b, out=rc)
         for i in range(2):
             for j in range(2):
                 np.add(qa[i, rows, None], qb[j], out=pc)
                 (np.add if i == j else np.subtract)(pc, mc, out=pc)
                 rc += plogp(np.maximum(pc, 0.0, out=pc), out=tc)
-        best = max(best, float(rc.max()))
+        return float(rc.max())
+
+    def reach(rows, u, best):
+        # rows whose bound can still reach the incumbent: a prefix, as u decreases
+        c = int(np.count_nonzero(u + 1e-9 >= best))
+        return rows[:c], u[:c]
+
+    def ordered(rows, u):
+        o = np.argsort(-u, kind="stable")
+        return rows[o], u[o]
+
+    rows, u = ordered(np.arange(n), _convexity_rows(b, pts, _ROW_BOUND_LINES[0]))
+    best = score(rows[:4])
+    rows, u = reach(rows[4:], u[4:], best)
+    if len(rows):
+        best = max(best, score(rows[:chunk]))
+    rows, u = reach(rows[chunk:], u[chunk:], best)
+    for lines in _ROW_BOUND_LINES[1:]:
+        if len(rows) <= chunk:
+            break
+        live = len(rows)
+        rows, u = ordered(rows, np.concatenate([
+            _convexity_rows(b, pts[rows[lo:lo + _ROW_BLOCK]], lines)
+            for lo in range(0, live, _ROW_BLOCK)]))
+        best = max(best, score(rows[:4]))
+        rows, u = reach(rows[4:], u[4:], best)
+        if 2 * len(rows) > live:
+            break
+    for lo in range(0, len(rows), chunk):
+        todo, _ = reach(rows[lo:lo + chunk], u[lo:lo + chunk], best)
+        if not len(todo):
+            break
+        best = max(best, score(todo))
     return mutual_information(state) - best
 
 

@@ -6,7 +6,9 @@ from twodiscord import OptimizerConfig
 from twodiscord.entropic import EIG_FLOOR, plogp, shannon_bits
 from twodiscord.measurement import haar_unitary
 from twodiscord.optimize import projective_grid
+from twodiscord import verification
 from twodiscord.verification import (
+    _ROW_BOUND_LINES,
     _convexity_rows,
     entropic_oracle_two_qubit,
     random_basis,
@@ -217,6 +219,12 @@ def _oracle_states():
     return states
 
 
+def _nearly_product_states():
+    """Pure states close to a product, where the coarse row bounds are loose:
+    the states that set the oracle's slowest calls."""
+    return [_pure_in_local_frames(theta, k) for k, theta in enumerate(np.linspace(0.02, 0.2, 10))]
+
+
 class TestEntropicOracle:
     @pytest.mark.parametrize("resolution", [8, 16, 32, 48])
     def test_matches_full_grid_reference(self, resolution):
@@ -225,24 +233,29 @@ class TestEntropicOracle:
         # pure states, where a Holevo row bound would be S(rho_B) on every
         # row and prune nothing; near maximal entanglement the rows
         # are nearly flat and the best one lies hundreds of rows deep in the
-        # bound's order, so a bound too low by 1e-4 loses it
+        # bound's order, so a bound too low by 1e-4 loses it; near a product
+        # the 8-line bound keeps most rows and the finer bounds prune them
         pts = sphere_grid(resolution) if resolution <= 32 else projective_grid(resolution)
         states = _oracle_states()
         if resolution == 32:
             states += [_pure_in_local_frames(theta, k)
                        for k, theta in enumerate(np.linspace(0.25, 0.7, 10))]
             states += [_pure_in_local_frames(0.785, k) for k in range(10, 16)]
+            states += _nearly_product_states()
         for st in states:
             assert entropic_oracle_two_qubit(st, resolution) == pytest.approx(
                 _entropic_oracle_reference(st, pts), abs=1e-12
             )
 
-    def test_convexity_rows_bound_every_row(self):
-        # the pruning is exact because no grid value in row a exceeds U(a)
+    @pytest.mark.parametrize("lines", _ROW_BOUND_LINES)
+    def test_convexity_rows_bound_every_row(self, lines):
+        # the pruning is exact because no grid value in row a exceeds U(a),
+        # at every line count the oracle uses
+        assert lines % 2 == 0
         pts, cols = projective_grid(16), sphere_grid(16)
         pure = [td.random_state(2, 2, rank=1, seed=100 + k) for k in range(20)]
-        for st in _oracle_states() + pure:
-            u = _convexity_rows(td.to_bloch(st), pts)
+        for st in _oracle_states() + pure + _nearly_product_states():
+            u = _convexity_rows(td.to_bloch(st), pts, lines)
             rows = _retained_table(st, pts, cols).max(axis=1)
             assert np.all(u >= rows - 1e-12)
 
@@ -253,8 +266,35 @@ class TestEntropicOracle:
         for k, theta in enumerate(np.linspace(0.25, 0.7, 10)):
             st = _pure_in_local_frames(theta, k)
             s_b = td.entropy(td.partial_trace(st, "B"))
-            u = _convexity_rows(td.to_bloch(st), pts)
+            u = _convexity_rows(td.to_bloch(st), pts, _ROW_BOUND_LINES[0])
             assert np.mean(u < s_b - 1e-3) > 0.9
+
+    def test_finest_bound_prunes_nearly_product_states(self):
+        # the coarse bound keeps most rows near a product; the finest
+        # keeps at most a tenth within reach of the grid's best
+        pts = projective_grid(32)
+        for st in _nearly_product_states():
+            best = td.mutual_information(st) - _entropic_oracle_reference(st, pts)
+            u = _convexity_rows(td.to_bloch(st), pts, _ROW_BOUND_LINES[-1])
+            assert np.mean(u + 1e-9 >= best) <= 0.1
+
+    @pytest.mark.parametrize("state", [td.bell_state(), td.werner(2, 0.9), td.isotropic(2, 0.3)],
+                             ids=["bell", "werner", "isotropic"])
+    def test_flat_rows_are_refined_once(self, state, monkeypatch):
+        # no bound prunes where every row reaches the best value, so the
+        # oracle stops refining after one finer level
+        want = entropic_oracle_two_qubit(state, 32)
+        seen = []
+
+        def spy(b, pts, lines):
+            seen.append(pts)
+            return _convexity_rows(b, pts, lines)
+
+        monkeypatch.setattr(verification, "_convexity_rows", spy)
+        assert entropic_oracle_two_qubit(state, 32) == want
+        assert want == pytest.approx(_entropic_oracle_reference(state, projective_grid(32)), abs=1e-12)
+        _, counts = np.unique(np.concatenate(seen), axis=0, return_counts=True)
+        assert counts.max() <= 2
 
     def test_bell_and_product_values(self):
         assert entropic_oracle_two_qubit(td.bell_state(), 16) == pytest.approx(1.0, abs=1e-12)
