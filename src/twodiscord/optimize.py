@@ -5,7 +5,8 @@ computation. ``_lockstep`` runs the starts and holds the iteration cap, the
 retire rule and the winner rule; each search supplies only its starts and
 its step. The basis searches iterate the measurement unitaries themselves,
 from the warm starts of ``warm_start_bases``, the same in every dimension,
-then Haar random restarts (``_start_points``); the one engine,
+then Haar random restarts (``_start_points``), drawn once per (dims,
+restarts, seed) and cached read-only (``_haar_starts``); the one engine,
 ``jacobi_search``, supplies their step. Every discord that searches bases
 calls it through ``search_bases``, which assembles its ``DiscordValue``:
 the state's total minus the best retained value, with the caller's bound.
@@ -122,25 +123,37 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
 # ---------------------------------------------------------------------------
 # the lockstep loop over the starts of a search
 
+@lru_cache(maxsize=16)
+def _haar_starts(dims: tuple, restarts: int, seed: int) -> tuple:
+    """The random starts of a basis search, built once per key: one read-only
+    (restarts, n, n) stack of Haar unitaries per side of ``dims``. Restart r's
+    unitaries are drawn in side order from ``default_rng([seed, r])``, so
+    they do not depend on ``restarts``."""
+    draws = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
+    stacks = tuple(_haar_from_ginibre(np.array([d[q] for d in draws])) for q in range(len(dims)))
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
+
+
 def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     """One (len(warm_starts) + cfg.restarts, n, n) stack of start unitaries per side.
 
-    The warm starts (tuples of unitaries) come first, then ``cfg.restarts``
-    random starts: restart r starts at one Haar unitary per side, drawn in
-    side order from ``default_rng([cfg.seed, r])``, so its start does not
-    depend on ``cfg.restarts``.
+    The warm starts (tuples of unitaries) come first, then the
+    ``cfg.restarts`` random starts of ``_haar_starts``, drawn once per
+    (dims, restarts, seed) and cached read-only. Each call copies both into
+    fresh stacks, which the search updates in place.
     """
     if min(dims) < 2:
         raise DomainError(f"a measured side must have dimension >= 2, got {min(dims)}")
-    draws = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
+    rand = _haar_starts(tuple(dims), cfg.restarts, cfg.seed)
     points = []
     for q, n in enumerate(dims):
         warm = np.array([np.asarray(w[q], dtype=complex) for w in warm_starts])
-        rand = _haar_from_ginibre(np.array([d[q] for d in draws]))
-        points.append(np.concatenate([warm.reshape(-1, n, n), rand]))
+        points.append(np.concatenate([warm.reshape(-1, n, n), rand[q]]))
     return points
 
 

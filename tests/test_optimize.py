@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import twodiscord as td
 from twodiscord import OptimizerConfig
 from twodiscord import optimize
+from twodiscord import cli
 from twodiscord import entropic
 from twodiscord.entropic import RETAINED_INFORMATION, entropy_of_spectra, shannon_bits
 from twodiscord.measurement import haar_unitary
@@ -789,6 +790,85 @@ class TestRandomDirections:
 
     def test_no_restarts(self):
         assert optimize._random_directions(0, 0).shape == (0, 3)
+
+
+class TestHaarStarts:
+    def test_each_key_is_built_once(self, monkeypatch):
+        built, haar_from_ginibre = [], optimize._haar_from_ginibre
+
+        def counting(g):
+            built.append(g.shape)
+            return haar_from_ginibre(g)
+
+        monkeypatch.setattr(optimize, "_haar_from_ginibre", counting)
+        optimize._haar_starts.cache_clear()
+        cfg = OptimizerConfig(restarts=16, seed=5)
+        first = _start_points((2, 3), cfg, [])
+        stacks = optimize._haar_starts((2, 3), 16, 5)
+        second = _start_points((2, 3), cfg, [])
+        assert optimize._haar_starts((2, 3), 16, 5) is stacks
+        assert built == [(16, 2, 2), (16, 3, 3)]
+        for p, q, s in zip(first, second, stacks):
+            assert p is not q and np.array_equal(p, q) and np.array_equal(p, s)
+
+    def test_read_only(self):
+        for stack in optimize._haar_starts((3, 2), 4, 0):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+
+    def test_fewer_restarts_are_a_prefix(self):
+        for short, full in zip(optimize._haar_starts((2, 3), 16, 0),
+                               optimize._haar_starts((2, 3), 64, 0)):
+            assert np.array_equal(short, full[:16])
+
+    def test_side_order_is_part_of_the_key(self):
+        optimize._haar_starts.cache_clear()
+        ab = optimize._haar_starts((2, 3), 8, 1)
+        ba = optimize._haar_starts((3, 2), 8, 1)
+        assert optimize._haar_starts.cache_info().currsize == 2
+        assert [s.shape for s in ab] == [(8, 2, 2), (8, 3, 3)]
+        assert [s.shape for s in ba] == [(8, 3, 3), (8, 2, 2)]
+        assert not np.array_equal(ab[1], ba[0]) and not np.array_equal(ab[0], ba[1])
+
+    def test_numpy_integers_draw_the_same_stacks(self):
+        optimize._haar_starts.cache_clear()
+        cfg = OptimizerConfig(restarts=np.int64(8), seed=np.int32(3))
+        numpy_keyed = [s.copy() for s in _start_points((2, 3), cfg, [])]
+        optimize._haar_starts.cache_clear()
+        python_keyed = _start_points((2, 3), OptimizerConfig(restarts=8, seed=3), [])
+        for a, b in zip(numpy_keyed, python_keyed):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_searches_leave_the_cached_stacks_unchanged(self, dims):
+        cfg = OptimizerConfig(restarts=8, seed=2)
+        state = random_bipartite(np.random.default_rng([17, *dims]), *dims)
+        r = state.reshaped()
+        jacobi_search(r, ("A", "B"), cfg, warm_start_bases(state, ("A", "B")))
+        jacobi_search(r, ("A",), cfg, warm_start_bases(state, ("A",)),
+                      objective=RETAINED_INFORMATION)
+        cached = (optimize._haar_starts(dims, 8, 2), optimize._haar_starts(dims[:1], 8, 2))
+        optimize._haar_starts.cache_clear()
+        fresh = (optimize._haar_starts(dims, 8, 2), optimize._haar_starts(dims[:1], 8, 2))
+        for old, new in zip(cached, fresh):
+            for a, b in zip(old, new):
+                assert a is not b and np.array_equal(a, b)
+
+    def test_cold_and_warm_caches_give_the_same_reports(self):
+        cfg = OptimizerConfig(restarts=16, seed=4)
+        states = [td.random_state(2, 3, 6, 1), td.random_state(3, 3, 9, 1)]
+
+        def reports():
+            return [cli.build_report(s, cfg, with_entropic=True) for s in states]
+
+        optimize._haar_starts.cache_clear()
+        cold = reports()
+        warm = reports()
+        other = td.random_state(3, 2, 6, 2)
+        td.geo_discord_two_sided(other, OptimizerConfig(restarts=4, seed=9))
+        td.discord_one_sided(other, "B", OptimizerConfig(restarts=16, seed=5))
+        td.geo_discord_one_sided(states[1], "B", OptimizerConfig(restarts=8, seed=4))
+        assert cold == warm == reports()
 
 
 class TestAlternatingLockstep:
