@@ -22,13 +22,14 @@ from .optimize import (
     OptimizerConfig,
     _alternating_detail,
     _check_extra_warm_starts,
+    _check_measured,
     search_bases,
 )
-from .states import BipartiteState, _check_family, _check_side, from_bloch, purity
+from .states import (RESIDUE_TOL, BipartiteState, _check_family, _check_side, _freeze, _real,
+                     from_bloch, purity)
 
 GRAM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
-RESIDUE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +60,7 @@ class HermitianOperatorBasis:
         recon = np.einsum("i,iab->ab", coeffs, ops)
         if np.max(np.abs(recon - h)) > COMPLETENESS_TOL:
             raise DomainError("operators do not span the Hermitian matrices")
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", _freeze(ops))
 
 
 @lru_cache(maxsize=16)
@@ -69,12 +69,12 @@ def hermitian_operator_basis(dim: int) -> HermitianOperatorBasis:
 
     Fixed order: symmetric pairs (j < k, row-major), antisymmetric pairs
     (same order), then the dim-1 diagonal matrices. For dim 2 this is exactly
-    {I, sigma_1, sigma_2, sigma_3}/sqrt(2). Each dimension's basis is built
-    and validated once and shared: the dataclass is frozen and its operators
-    are read-only.
+    {I, sigma_1, sigma_2, sigma_3}/sqrt(2); for dim 1 it is the single [[1]].
+    Each dimension's basis is built and validated once and shared: the
+    dataclass is frozen and its operators are read-only.
     """
-    if dim < 2:
-        raise DomainError("dim must be >= 2")
+    if dim < 1:
+        raise DomainError("dim must be >= 1")
     ops = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     for j in range(dim):
         for k in range(j + 1, dim):
@@ -119,11 +119,8 @@ def correlation_matrix(state: BipartiteState) -> CorrelationData:
     basis_b = hermitian_operator_basis(state.dim_b)
     r = state.reshaped()
     c = np.einsum("abcd,ica,jdb->ij", r, basis_a.operators, basis_b.operators, optimize=True)
-    if np.max(np.abs(c.imag)) > RESIDUE_TOL:
-        raise NumericalResidueError("correlation coefficients have imaginary residue")
-    c = c.real
-    pur = purity(state.rho)
-    if abs(np.sum(c * c) - pur) > 1e-10:
+    c = _real(c, "correlation coefficients")
+    if abs(np.sum(c * c) - purity(state.rho)) > RESIDUE_TOL:
         raise NumericalResidueError("tr(CC^t) deviates from the state's purity")
     return CorrelationData(c, basis_a, basis_b)
 
@@ -133,10 +130,7 @@ def measurement_matrix(basis: OrthonormalBasis, ops: HermitianOperatorBasis) -> 
     if basis.dim != ops.dim:
         raise DimensionMismatchError("basis and operator basis dims differ")
     u = basis.vectors
-    a = np.einsum("da,idc,ca->ai", u.conj(), ops.operators, u)
-    if np.max(np.abs(a.imag)) > RESIDUE_TOL:
-        raise NumericalResidueError("projector coefficients have imaginary residue")
-    return a.real
+    return _real(np.einsum("da,idc,ca->ai", u.conj(), ops.operators, u), "projector coefficients")
 
 
 def objective27(cd: CorrelationData, a_mat: np.ndarray, b_mat: np.ndarray) -> float:
@@ -236,9 +230,11 @@ def geo_discord_one_sided(state: BipartiteState, side: str, cfg: OptimizerConfig
     basis comes from the exact Jacobi sweeps of ``search_bases``.
     """
     _check_side(side)
+    n = state.dim_a if side == "A" else state.dim_b
+    _check_measured((n,))
     cd = correlation_matrix(state)
     bound, total = lower_bound_one_sided(cd, side), purity(state.rho)
-    if (cd.dim_a if side == "A" else cd.dim_b) > 2:
+    if n > 2:
         return search_bases(state, (side,), cfg, total, bound, extra=extra_warm_starts)
     _check_extra_warm_starts(state, side, extra_warm_starts)
     g = cd.c @ cd.c.T if side == "A" else cd.c.T @ cd.c

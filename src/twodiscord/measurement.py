@@ -12,6 +12,7 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     _check_side,
+    _freeze,
     _ginibre_matrix,
     classical_classical,
 )
@@ -26,7 +27,7 @@ class OrthonormalBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.vectors, dtype=complex))
+        u = np.asarray(self.vectors, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
         if not np.all(np.isfinite(u)):
@@ -34,8 +35,7 @@ class OrthonormalBasis:
         gram = u.conj().T @ u
         if np.max(np.abs(gram - np.eye(u.shape[0]))) > UNITARY_TOL:
             raise DomainError("columns are not orthonormal within tolerance")
-        u.setflags(write=False)
-        object.__setattr__(self, "vectors", u)
+        object.__setattr__(self, "vectors", _freeze(u))
 
     @property
     def dim(self) -> int:
@@ -62,15 +62,6 @@ def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _basis_unchecked(vectors: np.ndarray) -> OrthonormalBasis:
-    # internal fast path: caller guarantees unitarity
-    b = object.__new__(OrthonormalBasis)
-    v = np.ascontiguousarray(vectors)
-    v.setflags(write=False)
-    object.__setattr__(b, "vectors", v)
-    return b
-
-
 @dataclass(frozen=True)
 class ProductMeasurement:
     """A pair of subsystem bases defining the projectors |a><a| x |b><b|."""
@@ -82,7 +73,7 @@ class ProductMeasurement:
 def computational_basis(dim: int) -> OrthonormalBasis:
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    return _basis_unchecked(np.eye(dim, dtype=complex))
+    return OrthonormalBasis(np.eye(dim, dtype=complex))
 
 
 def _unit_3vector(v) -> np.ndarray:
@@ -109,7 +100,7 @@ def bloch_basis(a) -> OrthonormalBasis:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     plus = np.array([c, np.exp(1j * phi) * s])
     minus = np.array([-s, np.exp(1j * phi) * c])
-    return _basis_unchecked(np.column_stack([plus, minus]))
+    return OrthonormalBasis(np.column_stack([plus, minus]))
 
 
 def bloch_vector_of_basis(basis: OrthonormalBasis):

@@ -1,15 +1,17 @@
 """Search over measurement bases.
 
 Every search runs its starts in lockstep, so each step is one batched
-computation. ``_lockstep`` runs the starts and holds the iteration cap, the
+computation. ``_lockstep`` runs the starts and holds the stopping rule, the
 retire rule and the winner rule; each search supplies only its starts and
-its step. The basis searches iterate the measurement unitaries themselves,
-from the warm starts of ``warm_start_bases``, the same in every dimension,
-then Haar random restarts (``_start_points``), drawn once per (dims,
-restarts, seed) and cached read-only (``_haar_starts``); the one engine,
-``jacobi_search``, supplies their step. Every discord that searches bases
-calls it through ``search_bases``, which assembles its ``DiscordValue``:
-the state's total minus the best retained value, with the caller's bound.
+its step, ``advance(idx)``, which updates points and values in place and
+returns nothing. Restart r draws from ``_restart_streams``. The basis
+searches iterate the measurement unitaries themselves, from the warm starts
+of ``warm_start_bases``, the same in every dimension, then Haar random
+restarts (``_start_points``), drawn once per (dims, restarts, seed) and
+cached read-only (``_haar_starts``); the one engine, ``jacobi_search``,
+supplies their step. Every basis search calls it through ``search_bases``,
+which assembles its ``DiscordValue``: the state's total minus the best
+retained value, with the caller's bound.
 
 ``jacobi_search`` runs every discord search as Jacobi sweeps: each step
 rotates a round of disjoint Givens planes, each by the rotation its
@@ -26,7 +28,8 @@ directions. Its step is two half-steps, each from a 2x2 Gram, or, from a
 start's second step on, one Riemannian Newton step (``_newton_points``,
 shared with ``plane_ascent``) on the objective maximized over b
 (``_reduced_bloch``). The geometric grid oracle bounds its rows, and whole
-cells of directions (``_grid_cells``), by that same maximum.
+cells of directions (``_grid_cells``), by that same maximum. Every Bloch
+product, here and in ``verification``, comes from ``_bloch_gram``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .measurement import ProductMeasurement, _basis_unchecked, _haar_from_ginibre
-from .states import BipartiteState, TwoQubitBloch, _ginibre_matrix, partial_trace
+from .measurement import OrthonormalBasis, ProductMeasurement, _haar_from_ginibre
+from .states import BipartiteState, TwoQubitBloch, _freeze, _ginibre_matrix, partial_trace
 
 # a start stops at the iteration cap (Jacobi sweeps or alternation steps), or
 # when an iteration raises its value by less than the value tolerance
@@ -123,20 +126,27 @@ def warm_start_bases(state: BipartiteState, sides, extra=()) -> list:
 # ---------------------------------------------------------------------------
 # the lockstep loop over the starts of a search
 
+def _restart_streams(seed: int, restarts: int):
+    """Restart r's generator ``default_rng([seed, r])`` for each r < ``restarts``,
+    so a restart's draws do not depend on how many restarts there are."""
+    for r in range(restarts):
+        yield np.random.default_rng([seed, r])
+
+
 @lru_cache(maxsize=16)
 def _haar_starts(dims: tuple, restarts: int, seed: int) -> tuple:
     """The random starts of a basis search, built once per key: one read-only
     (restarts, n, n) stack of Haar unitaries per side of ``dims``. Restart r's
-    unitaries are drawn in side order from ``default_rng([seed, r])``, so
-    they do not depend on ``restarts``."""
-    draws = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        draws.append([_ginibre_matrix(rng, n, n) for n in dims])
-    stacks = tuple(_haar_from_ginibre(np.array([d[q] for d in draws])) for q in range(len(dims)))
-    for stack in stacks:
-        stack.setflags(write=False)
-    return stacks
+    unitaries are drawn in side order from its ``_restart_streams`` generator."""
+    draws = [[_ginibre_matrix(rng, n, n) for n in dims] for rng in _restart_streams(seed, restarts)]
+    return tuple(_freeze(_haar_from_ginibre(np.array([d[q] for d in draws])))
+                 for q in range(len(dims)))
+
+
+def _check_measured(dims):
+    """Raise DomainError unless each measured side in ``dims`` has dimension >= 2."""
+    if min(dims) < 2:
+        raise DomainError(f"a measured side must have dimension >= 2, got {min(dims)}")
 
 
 def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
@@ -147,8 +157,7 @@ def _start_points(dims, cfg: OptimizerConfig, warm_starts) -> list:
     (dims, restarts, seed) and cached read-only. Each call copies both into
     fresh stacks, which the search updates in place.
     """
-    if min(dims) < 2:
-        raise DomainError(f"a measured side must have dimension >= 2, got {min(dims)}")
+    _check_measured(dims)
     rand = _haar_starts(tuple(dims), cfg.restarts, cfg.seed)
     points = []
     for q, n in enumerate(dims):
@@ -180,10 +189,11 @@ def _lockstep(points, values, advance) -> OptimizationResult:
     Bloch directions for the two-qubit alternation. ``values`` holds the S
     objective values at the starts. ``advance(idx)`` moves the running
     starts ``idx`` one iteration, updating ``points`` and ``values`` at
-    ``idx`` in place, and returns a boolean mask over ``idx`` of the starts
-    that stopped converged. A start also stops after ``_MAX_ITERATIONS``
-    iterations, and after every iteration ``_retire`` retires the starts
-    that have caught up with the best. The winner is the first start within
+    ``idx`` in place, and returns nothing. The stopping rule is here: a
+    start stops converged when an iteration raises its value by less than
+    ``_VALUE_TOLERANCE``, and stops after ``_MAX_ITERATIONS`` iterations;
+    after every iteration ``_retire`` retires the starts that have caught
+    up with the best. The winner is the first start within
     ``_VALUE_TOLERANCE`` of the best value, ``best_params`` of the result is
     its tuple of points, and ``iterations_total`` sums the iterations of all
     starts. This is the only multistart loop: every search ends here.
@@ -194,7 +204,9 @@ def _lockstep(points, values, advance) -> OptimizationResult:
     iters = np.zeros(total, dtype=int)
     while np.any(active):
         idx = np.nonzero(active)[0]
-        done = idx[advance(idx)]
+        before = values[idx]
+        advance(idx)
+        done = idx[values[idx] - before < _VALUE_TOLERANCE]
         iters[idx] += 1
         converged[done] = True
         active[done] = False
@@ -417,9 +429,8 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
     (``_jacobi_step``), so no step lowers the value. Disjoint planes of one
     side move disjoint basis vectors, so a step handles a whole
     ``_round_robin`` round at once. A sweep visits every plane of each
-    measured side once. A start stops converged when a sweep raises its
-    value by less than ``_VALUE_TOLERANCE``. ``iterations_total`` counts
-    sweeps.
+    measured side once and updates the start's bases and value;
+    ``_lockstep`` judges convergence. ``iterations_total`` counts sweeps.
     """
     size = {"A": r.shape[0], "B": r.shape[1]}
     points = _start_points(tuple(size[s] for s in sides), cfg, list(warm_starts))
@@ -436,10 +447,7 @@ def jacobi_search(r, sides, cfg: OptimizerConfig, warm_starts=(),
             _jacobi_step(cur[s], view, j, k, len(sides) == 2, objective.solve)
         for s in sides:
             bases[s][idx] = cur[s]
-        new = objective.values(_dephased(rotated_states(r, cur["A"], cur["B"]), sides))
-        done = new - values[idx] < _VALUE_TOLERANCE
-        values[idx] = new
-        return done
+        values[idx] = objective.values(_dephased(rotated_states(r, cur["A"], cur["B"]), sides))
 
     return _lockstep(points, values, sweep)
 
@@ -455,7 +463,7 @@ def search_bases(state: BipartiteState, sides, cfg: OptimizerConfig, total, lowe
     """
     res = jacobi_search(state.reshaped(), sides, cfg, warm_start_bases(state, sides, extra),
                         objective)
-    bases = [_basis_unchecked(u) for u in res.best_params]
+    bases = [OrthonormalBasis(u) for u in res.best_params]
     m = ProductMeasurement(*bases) if len(sides) == 2 else bases[0]
     return DiscordValue(float(total - res.best_value), m, lower_bound, res)
 
@@ -471,10 +479,11 @@ def _gram_top(g11, g22, g12):
 
 
 def _bloch_gram(bloch: TwoQubitBloch, av):
-    """(a.x)^2, w = T^t a and the Gram entries g11 = |y|^2, g22 = |w|^2, g12 = a.Ty
-    of y and w at each row a of the (N, 3) stack av, from one product av (x, T, T y)."""
+    """a.x, w = T^t a and the Gram entries g11 = |y|^2, g22 = |w|^2, g12 = a.Ty
+    of y and w at each row a of the (N, 3) stack av, from one product av (x, T, T y).
+    Every Bloch-data product of the package is formed here."""
     q = (av @ np.column_stack([bloch.x, bloch.t, bloch.t @ bloch.y])).T
-    return (q[0] * q[0], q[1:4].T, float(bloch.y @ bloch.y),
+    return (q[0], q[1:4].T, float(bloch.y @ bloch.y),
             q[1] * q[1] + q[2] * q[2] + q[3] * q[3], q[4])
 
 
@@ -490,7 +499,7 @@ def _reduced_bloch(bloch: TwoQubitBloch, av):
     is 0 (a double eigenvalue), b is y / |y|, or e_3 if y = 0. The first
     component of b of largest magnitude is positive.
     """
-    ax2, w, g11, g22, g12 = _bloch_gram(bloch, av)
+    ax, w, g11, g22, g12 = _bloch_gram(bloch, av)
     top, r = _gram_top(g11, g22, g12)
     d, g2 = g11 - g22, 2.0 * g12
     bv = np.where(d >= 0, d + r, g2)[:, None] * bloch.y + np.where(d >= 0, g2, r - d)[:, None] * w
@@ -498,7 +507,7 @@ def _reduced_bloch(bloch: TwoQubitBloch, av):
     if not n.all():
         bv[n == 0], n[n == 0] = bloch.y / np.sqrt(g11) if g11 > 0 else np.eye(3)[2], 1.0
     bv /= np.copysign(n, bv[np.arange(len(bv)), np.argmax(np.abs(bv), axis=1)])[:, None]
-    return ax2 + top, r, bv
+    return ax * ax + top, r, bv
 
 
 def _reduced_bloch_derivatives(bloch: TwoQubitBloch):
@@ -532,14 +541,13 @@ def _reduced_bloch_derivatives(bloch: TwoQubitBloch):
 @lru_cache(maxsize=8)
 def _random_directions(seed: int, restarts: int) -> np.ndarray:
     """The random starts of the two-qubit alternation, read-only (restarts, 3),
-    built once per key: row r is the Gaussian draw of ``default_rng([seed, r])``
-    made unit (e_1 if it is 0), so it does not depend on ``restarts``."""
+    built once per key: row r is the Gaussian draw of restart r's
+    ``_restart_streams`` generator made unit (e_1 if it is 0)."""
     starts = np.empty((restarts, 3))
-    for r in range(restarts):
-        v = np.random.default_rng([seed, r]).standard_normal(3)
+    for r, rng in enumerate(_restart_streams(seed, restarts)):
+        v = rng.standard_normal(3)
         starts[r] = v / np.linalg.norm(v) if np.any(v) else np.eye(3)[0]
-    starts.setflags(write=False)
-    return starts
+    return _freeze(starts)
 
 
 # the reduced objective is smooth where its Gram's eigenvalue gap exceeds this
@@ -560,8 +568,8 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
     (F is not differentiable at a double eigenvalue), it takes both
     half-steps. F, r and b are kept from the step that set a. Near maximal
     entanglement the half-steps alone zigzag along a near-flat ridge for
-    hundreds of steps per start. A start stops converged once a step raises
-    its value by less than ``_VALUE_TOLERANCE``; ``best_params`` is (a, b).
+    hundreds of steps per start. A step never lowers a start's value, and
+    ``_lockstep`` judges convergence; ``best_params`` is (a, b).
     """
     ny, vt = np.linalg.norm(b.y), np.linalg.svd(b.t)[2]
     bv = np.concatenate([np.eye(3), vt[:1], (b.y / ny)[None] if ny > 0 else np.empty((0, 3)),
@@ -572,9 +580,9 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
     values, f, gap = np.full(len(bv), -np.inf), np.zeros(len(bv)), np.zeros(len(bv))
 
     def step(idx):
-        cur, new, r, nb = a[idx], f[idx], gap[idx], bv[idx]
+        cur, new, r, nb, old = a[idx], f[idx], gap[idx], bv[idx], values[idx]
         # a start's first step (value -inf) has no a yet
-        tried = np.nonzero(np.isfinite(values[idx]) & (r > _SMOOTH_GAP))[0]
+        tried = np.nonzero(np.isfinite(old) & (r > _SMOOTH_GAP))[0]
         half = np.ones(len(idx), dtype=bool)
         if len(tried):
             cand = _newton_points(cur[tried], *derivatives(cur[tried]))
@@ -587,9 +595,7 @@ def _alternating_detail(b: TwoQubitBloch, cfg: OptimizerConfig) -> OptimizationR
             cur[half] = _reduced_bloch(flip, nb[half])[2]
             new[half], r[half], nb[half] = _reduced_bloch(b, cur[half])
         a[idx], f[idx], gap[idx], bv[idx] = cur, new, r, nb
-        old = values[idx]
         values[idx] = np.maximum(old, new)
-        return new - old < _VALUE_TOLERANCE
 
     return _lockstep([a, bv], values, step)
 
@@ -635,9 +641,7 @@ def projective_grid(resolution: int) -> np.ndarray:
     count = [1] + [2 * r] * ((r + 1) // 2 - 1) + [r] * (1 - r % 2)
     i = np.repeat(np.arange(len(count)), count)
     k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
-    pts = np.stack([st[i] * cp[k], st[i] * sp[k], ct[i]], axis=1)
-    pts.setflags(write=False)
-    return pts
+    return _freeze(np.stack([st[i] * cp[k], st[i] * sp[k], ct[i]], axis=1))
 
 
 # a grid cell is this many consecutive latitude bands by this many
@@ -732,9 +736,7 @@ def _grid_cells(resolution: int) -> _GridCells:
                               for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)])
     full = bands * width == _CELL_BANDS * _CELL_LONGITUDES
     arrays = (first, lo, bands, width, full, corners, np.flatnonzero(wide), *angles)
-    for a in arrays:
-        a.setflags(write=False)
-    return _GridCells(*arrays)
+    return _GridCells(*map(_freeze, arrays))
 
 
 def _cell_bound(cells: _GridCells, *values):
@@ -759,7 +761,8 @@ def _row_bounds(b: TwoQubitBloch, av, gy):
     av, both convex in a and smallest at 0: F(a) (``_reduced_bloch``) and
     (a.x)^2 + gy + |T^t a|^2, where gy >= the grid maximum of (b.y)^2.
     Both come from one ``_bloch_gram``, without the b of ``_reduced_bloch``."""
-    ax2, _, g11, g22, g12 = _bloch_gram(b, av)
+    ax, _, g11, g22, g12 = _bloch_gram(b, av)
+    ax2 = ax * ax
     return ax2 + _gram_top(g11, g22, g12)[0], ax2 + gy + g22
 
 

@@ -23,7 +23,26 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-BLOCH_RESIDUE_TOL = 1e-10
+# the largest imaginary part a computed real quantity may carry (``_real``)
+RESIDUE_TOL = 1e-10
+
+
+def _freeze(a):
+    """A private read-only C-contiguous copy of ``a``. Every read-only array
+    of the package is made here, so no object shares its caller's memory."""
+    a = np.array(a, order="C")
+    a.setflags(write=False)
+    return a
+
+
+def _real(z, what: str) -> np.ndarray:
+    """The real part of ``z``, real up to rounding: raises NumericalResidueError,
+    naming the quantity ``what``, when an imaginary part exceeds ``RESIDUE_TOL``."""
+    residue = np.abs(z.imag).max()
+    if residue > RESIDUE_TOL:
+        raise NumericalResidueError(f"{what} have imaginary residue {residue:.3e}")
+    return z.real
+
 
 PAULI = np.array(
     [
@@ -35,14 +54,7 @@ PAULI = np.array(
 )
 # PAULI_PRODUCTS[i, j] = sigma_i x sigma_j with sigma_0 = I, a (4, 4, 4, 4) stack
 _SIGMA = np.concatenate([np.eye(2, dtype=complex)[None], PAULI])
-PAULI_PRODUCTS = np.einsum("iac,jbd->ijabcd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
-PAULI_PRODUCTS.setflags(write=False)
-
-
-def _freeze(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+PAULI_PRODUCTS = _freeze(np.einsum("iac,jbd->ijabcd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4))
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,8 @@ class TwoQubitBloch:
             raise DomainError("Bloch data must be finite")
         if np.linalg.norm(x) > 1 + PSD_TOL or np.linalg.norm(y) > 1 + PSD_TOL:
             raise NotPositiveSemidefiniteError("a local Bloch vector has norm > 1")
-        object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "t", _freeze(t))
+        for name, v in zip("xyt", (x, y, t)):
+            object.__setattr__(self, name, _freeze(v))
 
 
 def make_bipartite(entries, dim_a: int, dim_b: int) -> BipartiteState:
@@ -222,11 +233,7 @@ def to_bloch(state: BipartiteState) -> TwoQubitBloch:
     """Extract (x, y, T) from a (2, 2) state by the Pauli traces tr(rho sigma_i x sigma_j)."""
     if (state.dim_a, state.dim_b) != (2, 2):
         raise DimensionMismatchError("to_bloch requires dims (2, 2)")
-    c = np.einsum("ba,ijab->ij", state.entries, PAULI_PRODUCTS)
-    residue = np.abs(c.imag).max()
-    if residue > BLOCH_RESIDUE_TOL:
-        raise NumericalResidueError(f"trace has imaginary residue {residue:.3e}")
-    c = c.real
+    c = _real(np.einsum("ba,ijab->ij", state.entries, PAULI_PRODUCTS), "Pauli traces")
     return TwoQubitBloch(c[1:, 0], c[0, 1:], c[1:, 1:])
 
 

@@ -48,9 +48,10 @@ from .measurement import (
 )
 from .optimize import (
     OptimizerConfig,
+    _bloch_gram,
     alternating_sphere_max,
-    jacobi_search,
     projective_grid,
+    search_bases,
     sphere_grid_oracle,
 )
 from .states import (
@@ -174,17 +175,15 @@ def _convexity_rows(b: TwoQubitBloch, pts: np.ndarray, lines: int) -> np.ndarray
     k = lines
     ang = np.arange(k + 1) * (np.pi / k)
     c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
-    # row i is (a.x, a.Ty, a^T T) for a = pts[i]
-    q = pts @ np.column_stack([b.x, b.t @ b.y, b.t])
+    ax, _, yy, tta2, aty = _bloch_gram(b, pts)
     # 4 h(d)^2 = (c + s)^2 |y|^2 + 2 (c^2 - s^2) a.Ty + (c - s)^2 |T^t a|^2 at d = (c, s)
-    tta2 = q[:, 2] ** 2 + q[:, 3] ** 2 + q[:, 4] ** 2
-    h = np.sqrt(np.maximum((c + s) ** 2 * float(b.y @ b.y) + 2.0 * (c * c - s * s) * q[:, 1]
+    h = np.sqrt(np.maximum((c + s) ** 2 * yy + 2.0 * (c * c - s * s) * aty
                            + (c - s) ** 2 * tta2, 0.0))  # 2 h(d_k), (K + 1, n)
     # zeta / 2 at the vertex of lines k and k + 1, by Cramer's rule (determinant sin(pi / K))
     det = 4.0 * np.sin(np.pi / k)
     z_p = (s[1:] * h[:-1] - s[:-1] * h[1:]) / det
     z_m = (c[:-1] * h[1:] - c[1:] * h[:-1]) / det
-    qa = 0.25 * (1.0 + q[:, 0]), 0.25 * (1.0 - q[:, 0])  # p_s / 2
+    qa = 0.25 * (1.0 + ax), 0.25 * (1.0 - ax)  # p_s / 2
     h_a = shannon_bits(np.clip(2.0 * np.stack(qa), 0.0, None), axis=0)
     # H(A) + H(B) - H(A, B), with p(s, t) = p_s / 2 + t zeta_s / 2 and
     # P(t) = 1 / 2 + t (zeta_+ + zeta_-) / 2
@@ -294,17 +293,18 @@ def geo_two_sided_via_correlation(state: BipartiteState, cfg: OptimizerConfig) -
     tr(C C^t) - max tr(A C B^t B C^t A^t) (objective (27)).
 
     Independent route: it reads the state only through ``correlation_matrix``.
-    The Jacobi sweeps run on the state that C expands to,
-    sum_ij C_ij X_i (x) Y_j, whose dephased table in bases (U_A, U_B) is
-    A C B^t, so they maximize objective (27) itself; the winning bases are
-    then scored by ``measurement_matrix`` and ``objective27``.
+    ``search_bases`` runs on the state that C expands to,
+    sum_ij C_ij X_i (x) Y_j, from the standard ``warm_start_bases`` of that
+    state; its dephased table in bases (U_A, U_B) is A C B^t, so the sweeps
+    maximize objective (27) itself. Only the winning bases are used: they
+    are scored by ``measurement_matrix`` and ``objective27``.
     """
     cd = correlation_matrix(state)
     r_c = np.einsum("ij,iac,jbd->abcd", cd.c, cd.basis_a.operators, cd.basis_b.operators)
-    identity = (np.eye(state.dim_a, dtype=complex), np.eye(state.dim_b, dtype=complex))
-    ua, ub = jacobi_search(r_c, ("A", "B"), cfg, [identity]).best_params
-    a_mat = measurement_matrix(OrthonormalBasis(ua), cd.basis_a)
-    b_mat = measurement_matrix(OrthonormalBasis(ub), cd.basis_b)
+    expanded = make_bipartite(r_c.reshape(state.dim, -1), state.dim_a, state.dim_b)
+    m = search_bases(expanded, ("A", "B"), cfg, 0.0, 0.0).optimal_measurement
+    a_mat = measurement_matrix(m.basis_a, cd.basis_a)
+    b_mat = measurement_matrix(m.basis_b, cd.basis_b)
     return float(np.sum(cd.c * cd.c) - objective27(cd, a_mat, b_mat))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twodiscord as td
 from twodiscord import entropic, geometric, optimize
@@ -76,3 +78,43 @@ def test_party_swap_exchanges_the_sides(dims):
             for side, other in ("AB", "BA"):
                 assert one_sided(swapped, other, CFG).value == pytest.approx(
                     one_sided(state, side, CFG).value, abs=1e-9)
+
+
+ONE_DIMENSIONAL_SIDE = r"^a measured side must have dimension >= 2, got 1$"
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
+def test_every_discord_agrees_on_a_one_dimensional_side(dims):
+    # measuring the qubit leaves nothing to lose; every other call measures
+    # the one-dimensional side and is refused with one message
+    rho = random_bipartite(np.random.default_rng([47, *dims]), 2, 1).entries
+    state = td.make_bipartite(rho, *dims)
+    qubit, other = ("B", "A") if dims == (1, 2) else ("A", "B")
+    for one_sided in (td.geo_discord_one_sided, td.discord_one_sided):
+        assert abs(one_sided(state, qubit, CFG).value) <= 1e-15
+        with pytest.raises(td.DomainError, match=ONE_DIMENSIONAL_SIDE):
+            one_sided(state, other, CFG)
+    for two_sided in (td.geo_discord_two_sided, td.discord_two_sided):
+        with pytest.raises(td.DomainError, match=ONE_DIMENSIONAL_SIDE):
+            two_sided(state, CFG)
+
+
+def _bases(res):
+    m = res.optimal_measurement
+    return [m.basis_a, m.basis_b] if isinstance(m, td.ProductMeasurement) else [m]
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_every_returned_basis_is_unitary(dims, seed):
+    rng = np.random.default_rng(seed)
+    state = random_bipartite(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1] + 1)))
+    results = [td.geo_discord_two_sided(state, CFG), td.discord_two_sided(state, CFG),
+               *(f(state, side, CFG) for side in "AB"
+                 for f in (td.geo_discord_one_sided, td.discord_one_sided))]
+    if dims == (2, 2):
+        results.append(td.two_qubit_geo(td.to_bloch(state), CFG))
+    for res in results:
+        for basis in _bases(res):
+            u = basis.vectors
+            assert np.abs(u.conj().T @ u - np.eye(basis.dim)).max() <= 1e-12

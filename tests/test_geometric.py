@@ -50,6 +50,11 @@ class TestOperatorBasis:
         with pytest.raises(ValueError):
             basis.operators[0, 0, 0] = 0.0
 
+    def test_dimension_one_is_the_single_operator_one(self):
+        np.testing.assert_array_equal(td.hermitian_operator_basis(1).operators, [[[1.0]]])
+        with pytest.raises(td.DomainError, match=r"^dim must be >= 1$"):
+            td.hermitian_operator_basis(0)
+
     def test_rejects_non_orthonormal(self):
         ops = td.hermitian_operator_basis(2).operators.copy()
         ops[1] = ops[2]

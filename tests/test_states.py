@@ -8,8 +8,16 @@ from twodiscord import (
     NonHermitianError,
     NonUnitTraceError,
     NotPositiveSemidefiniteError,
+    NumericalResidueError,
 )
-from twodiscord.states import FAMILY_DOMAINS, PAULI, max_entangled_projector, swap_operator
+from twodiscord.states import (
+    FAMILY_DOMAINS,
+    PAULI,
+    RESIDUE_TOL,
+    _real,
+    max_entangled_projector,
+    swap_operator,
+)
 
 
 def brute_partial_trace(rho, na, nb, keep):
@@ -302,3 +310,81 @@ class TestRandomState:
     def test_bad_rank(self):
         with pytest.raises(DomainError):
             td.random_state(2, 2, rank=5, seed=0)
+
+
+def _bloch_table():
+    """A 4x4 table [[1, y], [x, T]] of valid two-qubit Bloch data."""
+    c = np.zeros((4, 4))
+    c[0, 0] = 1.0
+    c[1:, 0], c[0, 1:], c[1:, 1:] = [0.1, 0.0, 0.2], [0.0, 0.3, 0.0], np.diag([0.5, -0.3, 0.2])
+    return c
+
+
+def _bloch_arrays(x, y, t):
+    b = td.TwoQubitBloch(x, y, t)
+    return [b.x, b.y, b.t]
+
+
+# validated type -> (a base array, the arrays a caller cuts from it, the
+# arrays of the object built from those)
+PRIVATE_COPY_CASES = {
+    "DensityMatrix": (lambda: np.stack([np.eye(4, dtype=complex) / 4] * 2),
+                      lambda base: [base[0]],
+                      lambda rho: [td.make_bipartite(rho, 2, 2).entries]),
+    "TwoQubitBloch": (_bloch_table,
+                      lambda c: [c[1:, 0], c[0, 1:], c[1:, 1:]],
+                      _bloch_arrays),
+    "OrthonormalBasis": (lambda: np.stack([np.eye(2, dtype=complex)] * 2),
+                         lambda base: [base[0]],
+                         lambda u: [td.OrthonormalBasis(u).vectors]),
+    "HermitianOperatorBasis": (
+        lambda: np.stack([td.hermitian_operator_basis(2).operators] * 2),
+        lambda base: [base[0]],
+        lambda ops: [td.HermitianOperatorBasis(2, ops).operators]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIVATE_COPY_CASES))
+class TestPrivateCopies:
+    """A validated object holds private read-only copies of its arrays."""
+
+    def test_callers_arrays_stay_writeable_and_apart(self, name):
+        make, cut, build = PRIVATE_COPY_CASES[name]
+        inputs = [a.copy() for a in cut(make())]
+        held = build(*inputs)
+        before = [h.copy() for h in held]
+        for a in inputs:
+            assert a.flags.writeable
+            a[...] = 5
+        for h, want in zip(held, before):
+            assert not h.flags.writeable
+            np.testing.assert_array_equal(h, want)
+
+    def test_editing_the_base_of_a_view_leaves_it_unchanged(self, name):
+        make, cut, build = PRIVATE_COPY_CASES[name]
+        base = make()
+        held = build(*cut(base))
+        before = [h.copy() for h in held]
+        assert base.flags.writeable
+        base[...] = 7
+        for h, want in zip(held, before):
+            np.testing.assert_array_equal(h, want)
+
+
+def test_editing_the_table_keeps_the_bloch_vector_valid():
+    c = _bloch_table()
+    b = td.TwoQubitBloch(c[1:, 0], c[0, 1:], c[1:, 1:])
+    c[0, 1] = 5
+    np.testing.assert_array_equal(b.y, [0.0, 0.3, 0.0])
+
+
+class TestImaginaryResidue:
+    def test_passes_at_the_tolerance(self):
+        z = np.array([1.0 + RESIDUE_TOL * 1j, 2.0 - RESIDUE_TOL * 1j])
+        np.testing.assert_array_equal(_real(z, "traces"), [1.0, 2.0])
+
+    def test_raises_above_the_tolerance_naming_the_quantity(self):
+        z = np.array([1.0, 2.0 + 1j * np.nextafter(RESIDUE_TOL, 1.0)])
+        with pytest.raises(NumericalResidueError,
+                           match=r"^Pauli traces have imaginary residue 1\.000e-10$"):
+            _real(z, "Pauli traces")
